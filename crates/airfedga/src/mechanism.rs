@@ -20,7 +20,7 @@
 
 use crate::staleness::StalenessTracker;
 use crate::system::{FlMechanism, FlSystem};
-use crate::worker_pool::WorkerPool;
+use crate::worker_pool::{NormCache, WorkerPool};
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
 use grouping::greedy::{greedy_grouping, GreedyGroupingConfig};
@@ -30,7 +30,7 @@ use simcore::events::EventQueue;
 use simcore::trace::{FaultEvent, FaultEventKind, TracePoint, TrainingTrace};
 use wireless::aircomp::{
     air_aggregate_indexed_into, apply_group_update_in_place, AirAggregationInput,
-    AirAggregationScratch,
+    AirAggregationScratch, NormedInput,
 };
 use wireless::energy::EnergyLedger;
 use wireless::power::{optimize_power, PowerControlConfig};
@@ -138,12 +138,19 @@ fn faulty_participants(
 /// The local-training hot path is allocation-free in steady state: every
 /// worker owns a persistent [`WorkerPool`] slot (model, RNG stream, scratch
 /// workspace, local-parameter buffer), the per-group dispatch vectors,
-/// power-control buffers and the AirComp estimate/ideal/energy buffers
+/// power-control buffers and the AirComp estimate/energy buffers
 /// ([`air_aggregate_indexed_into`] gathering straight from them +
 /// [`AirAggregationScratch`]) are all reused across rounds, and evaluation
 /// runs through the batched `evaluate_ws` path. With
 /// `opts.parallel` the members of the aggregating group train concurrently on
 /// the persistent worker pool — bit-identical to the sequential schedule.
+///
+/// Under [`AggregationMode::AirComp`] each member's `‖w_i‖²` is computed
+/// once, inside its training task ([`NormCache::On`]), so the serial
+/// aggregation step only reads it: its square root is the Algorithm 2 norm
+/// bound and the kernel turns it into the Eq. (7) energy. The kernel builds
+/// no ideal model and no error; that diagnostic lives only in the
+/// allocating `air_aggregate`.
 pub fn run_group_async(
     system: &FlSystem,
     grouping: &Grouping,
@@ -168,7 +175,11 @@ pub fn run_group_async(
     let mut dispatch_params: Vec<FlatParams> = vec![global.clone(); m];
     let mut staleness = StalenessTracker::new(m);
     let mut ledger = EnergyLedger::new(system.num_workers());
-    let mut pool = WorkerPool::new(system, rng);
+    let norm_cache = match opts.aggregation {
+        AggregationMode::AirComp { .. } => NormCache::On,
+        AggregationMode::OmaIdeal { .. } => NormCache::Off,
+    };
+    let mut pool = WorkerPool::new(system, rng, norm_cache);
     let mut eval_ws = fedml::workspace::Workspace::new();
 
     // Reusable per-round buffers (cleared, never reallocated in steady
@@ -312,7 +323,7 @@ pub fn run_group_async(
                 );
                 let norm_bound = participants
                     .iter()
-                    .map(|&w| pool.local(w).norm())
+                    .map(|&w| pool.local_norm_sq(w).sqrt())
                     .fold(0.0_f64, f64::max)
                     .max(1e-9);
                 assert!(
@@ -329,15 +340,18 @@ pub fn run_group_async(
                     (1.0, 1.0)
                 };
                 let noise_var = if noise { wireless.noise_variance } else { 0.0 };
-                // Gather straight from the round-persistent buffers: no
-                // per-round Vec<AirAggregationInput> — this was the last
-                // steady-state allocation on the AirComp path.
+                // Gather straight from the round-persistent buffers and the
+                // pool's cached norms: no per-round Vec<AirAggregationInput>
+                // and no q-length norm pass on this serial step.
                 air_aggregate_indexed_into(
                     participants.len(),
-                    |k| AirAggregationInput {
-                        data_size: data_sizes[k],
-                        channel_gain: gains[k],
-                        params: pool.local(participants[k]),
+                    |k| NormedInput {
+                        input: AirAggregationInput {
+                            data_size: data_sizes[k],
+                            channel_gain: gains[k],
+                            params: pool.local(participants[k]),
+                        },
+                        norm_sq: pool.local_norm_sq(participants[k]),
                     },
                     sigma,
                     eta,

@@ -13,6 +13,13 @@
 //!   ([`parallel`]) and still produce traces **bit-identical** to sequential
 //!   execution: each member draws from its own pre-forked RNG stream, and the
 //!   aggregation that follows reads the slots in fixed member order.
+//! * **Norms off the serial path** — a pool built with [`NormCache::On`]
+//!   (the AirComp engines) also computes each member's `‖w_i‖²` inside that
+//!   member's training task and caches it in the slot. Over-the-air
+//!   aggregation needs it twice per member, for the Algorithm 2 norm bound
+//!   and the Eq. (7) energy, and would otherwise recompute it on the serial
+//!   aggregation step. A [`NormCache::Off`] pool (OMA aggregation) does no
+//!   norm work at all.
 
 use fedml::model::Model;
 use fedml::optimizer::local_update_from_ws;
@@ -37,6 +44,18 @@ pub struct WorkerSlot {
     local: FlatParams,
     /// Mean training loss of the most recent update.
     last_loss: f64,
+    /// `local.norm_sq()`, when the pool caches norms.
+    local_norm_sq: Option<f64>,
+}
+
+/// Whether [`WorkerPool::train_members`] also computes each member's
+/// `‖w_i‖²` (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NormCache {
+    /// Cache `local.norm_sq()` per member (over-the-air aggregation).
+    On,
+    /// Compute nothing beyond the local update (OMA aggregation).
+    Off,
 }
 
 /// One slot per worker, plus the scratch needed to hand a round's members to
@@ -44,13 +63,14 @@ pub struct WorkerSlot {
 pub struct WorkerPool {
     slots: Vec<WorkerSlot>,
     sorted_members: Vec<usize>,
+    norm_cache: NormCache,
 }
 
 impl WorkerPool {
     /// Create one slot per worker of `system`. Forks one child RNG stream per
     /// worker from `rng` (in worker order, so the construction itself is
     /// deterministic).
-    pub fn new(system: &FlSystem, rng: &mut Rng64) -> Self {
+    pub fn new(system: &FlSystem, rng: &mut Rng64, norm_cache: NormCache) -> Self {
         let q = system.model_dim();
         let slots = (0..system.num_workers())
             .map(|w| WorkerSlot {
@@ -59,16 +79,19 @@ impl WorkerPool {
                 ws: Workspace::new(),
                 local: FlatParams::zeros(q),
                 last_loss: 0.0,
+                local_norm_sq: None,
             })
             .collect();
         Self {
             slots,
             sorted_members: Vec::new(),
+            norm_cache,
         }
     }
 
     /// Run one local update for every worker in `members`, each starting from
-    /// `dispatch`, writing the results into the members' slots.
+    /// `dispatch`, writing the results into the members' slots (and, with
+    /// [`NormCache::On`], each member's `‖w_i‖²`).
     ///
     /// With `parallel` the members are mapped over the persistent worker pool;
     /// the result is bit-identical to the sequential path because every
@@ -84,6 +107,7 @@ impl WorkerPool {
         self.sorted_members.extend_from_slice(members);
         self.sorted_members.sort_unstable();
         let sgd = &system.config.sgd;
+        let cache_norms = self.norm_cache == NormCache::On;
         let train_one = |w: usize, slot: &mut WorkerSlot| {
             slot.last_loss = local_update_from_ws(
                 slot.model.as_mut(),
@@ -94,6 +118,7 @@ impl WorkerPool {
                 &mut slot.ws,
                 &mut slot.local,
             );
+            slot.local_norm_sq = cache_norms.then(|| slot.local.norm_sq());
         };
         let muts = parallel::disjoint_muts(&mut self.slots, &self.sorted_members);
         let jobs: Vec<(usize, &mut WorkerSlot)> =
@@ -124,6 +149,15 @@ impl WorkerPool {
     pub fn last_loss(&self, w: usize) -> f64 {
         self.slots[w].last_loss
     }
+
+    /// `‖w‖²` of worker `w`'s local parameters, computed when it last
+    /// trained. Panics unless the pool was built with [`NormCache::On`] and
+    /// `w` has trained.
+    pub fn local_norm_sq(&self, w: usize) -> f64 {
+        self.slots[w]
+            .local_norm_sq
+            .expect("worker norm not cached: train it in a NormCache::On pool first")
+    }
 }
 
 #[cfg(test)]
@@ -137,9 +171,9 @@ mod tests {
         let members: Vec<usize> = (0..system.num_workers()).collect();
         let dispatch = system.template.params();
 
-        let mut par = WorkerPool::new(&system, &mut Rng64::seed_from(7));
+        let mut par = WorkerPool::new(&system, &mut Rng64::seed_from(7), NormCache::Off);
         par.train_members(&members, &dispatch, &system, true);
-        let mut seq = WorkerPool::new(&system, &mut Rng64::seed_from(7));
+        let mut seq = WorkerPool::new(&system, &mut Rng64::seed_from(7), NormCache::Off);
         seq.train_members(&members, &dispatch, &system, false);
 
         for &w in &members {
@@ -154,12 +188,61 @@ mod tests {
     fn members_can_be_an_unsorted_subset() {
         let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(4));
         let dispatch = system.template.params();
-        let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(8));
+        let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(8), NormCache::Off);
         pool.train_members(&[5, 1, 3], &dispatch, &system, true);
         assert!(pool.local(1).norm_sq() > 0.0);
         assert!(pool.local(3).norm_sq() > 0.0);
         assert!(pool.local(5).norm_sq() > 0.0);
         // Untouched worker keeps its zeroed buffer.
         assert_eq!(pool.local(0).norm_sq(), 0.0);
+    }
+
+    #[test]
+    fn cached_norms_match_the_local_models_bit_for_bit() {
+        let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(5));
+        let members = [7, 2, 4, 0];
+        let mut dispatch = system.template.params();
+        for parallel in [true, false] {
+            let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(9), NormCache::On);
+            // Two rounds from different dispatches: the cache must follow
+            // the latest local model, not the first.
+            for round in 0..2 {
+                pool.train_members(&members, &dispatch, &system, parallel);
+                for &w in &members {
+                    assert_eq!(
+                        pool.local_norm_sq(w).to_bits(),
+                        pool.local(w).norm_sq().to_bits(),
+                        "worker {w}, round {round}, parallel {parallel}"
+                    );
+                }
+                dispatch.clone_from(pool.local(members[0]));
+            }
+        }
+    }
+
+    #[test]
+    fn oma_pools_compute_no_norms_and_train_identically() {
+        let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(6));
+        let members: Vec<usize> = (0..system.num_workers()).collect();
+        let dispatch = system.template.params();
+        let mut oma = WorkerPool::new(&system, &mut Rng64::seed_from(10), NormCache::Off);
+        oma.train_members(&members, &dispatch, &system, true);
+        let mut air = WorkerPool::new(&system, &mut Rng64::seed_from(10), NormCache::On);
+        air.train_members(&members, &dispatch, &system, true);
+        for &w in &members {
+            assert_eq!(oma.slots[w].local_norm_sq, None, "worker {w}");
+            assert_eq!(oma.last_loss(w).to_bits(), air.last_loss(w).to_bits());
+            assert_eq!(oma.local(w), air.local(w));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "norm not cached")]
+    fn reading_an_uncached_norm_panics() {
+        let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(6));
+        let dispatch = system.template.params();
+        let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(11), NormCache::Off);
+        pool.train_members(&[0], &dispatch, &system, false);
+        let _ = pool.local_norm_sq(0);
     }
 }

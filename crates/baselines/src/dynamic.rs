@@ -13,14 +13,14 @@
 
 use crate::BaselineOptions;
 use airfedga::system::{FlMechanism, FlSystem};
-use airfedga::worker_pool::WorkerPool;
+use airfedga::worker_pool::{NormCache, WorkerPool};
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
 use fedml::workspace::Workspace;
 use simcore::trace::{FaultEvent, FaultEventKind, TracePoint, TrainingTrace};
 use wireless::aircomp::{
     air_aggregate_indexed_into, apply_group_update_in_place, AirAggregationInput,
-    AirAggregationScratch,
+    AirAggregationScratch, NormedInput,
 };
 use wireless::energy::EnergyLedger;
 use wireless::power::{optimize_power, PowerControlConfig};
@@ -116,7 +116,9 @@ impl FlMechanism for Dynamic {
         let aggregation_latency = system.aircomp_aggregation_time();
         let mut ledger = EnergyLedger::new(system.num_workers());
         let k = ((system.num_workers() as f64 * cfg.select_fraction).ceil() as usize).max(1);
-        let mut pool = WorkerPool::new(system, rng);
+        // Every round aggregates over the air, so members cache their
+        // ||w_i||^2 on the training pool.
+        let mut pool = WorkerPool::new(system, rng, NormCache::On);
         let mut eval_ws = Workspace::new();
 
         // Reusable per-round buffers.
@@ -250,7 +252,7 @@ impl FlMechanism for Dynamic {
             sel_gains.extend(participants.iter().map(|&w| gains[w]));
             let norm_bound = participants
                 .iter()
-                .map(|&w| pool.local(w).norm())
+                .map(|&w| pool.local_norm_sq(w).sqrt())
                 .fold(0.0_f64, f64::max)
                 .max(1e-9);
             let (sigma, eta) = if cfg.power_control {
@@ -266,14 +268,18 @@ impl FlMechanism for Dynamic {
             } else {
                 0.0
             };
-            // Gather straight from the round-persistent buffers: no per-round
-            // Vec<AirAggregationInput> allocation.
+            // Gather straight from the round-persistent buffers and the
+            // pool's cached norms: no per-round Vec<AirAggregationInput>
+            // allocation and no norm pass on this serial step.
             air_aggregate_indexed_into(
                 participants.len(),
-                |i| AirAggregationInput {
-                    data_size: data_sizes[i],
-                    channel_gain: sel_gains[i],
-                    params: pool.local(participants[i]),
+                |i| NormedInput {
+                    input: AirAggregationInput {
+                        data_size: data_sizes[i],
+                        channel_gain: sel_gains[i],
+                        params: pool.local(participants[i]),
+                    },
+                    norm_sq: pool.local_norm_sq(participants[i]),
                 },
                 sigma,
                 eta,

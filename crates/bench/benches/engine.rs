@@ -29,7 +29,7 @@
 
 use airfedga::mechanism::{AirFedGa, AirFedGaConfig};
 use airfedga::system::{FlMechanism, FlSystemConfig};
-use airfedga::worker_pool::WorkerPool;
+use airfedga::worker_pool::{NormCache, WorkerPool};
 use baselines::{AirFedAvg, BaselineOptions, Dynamic, DynamicConfig, FedAvg, TiFl};
 use bench::bench_system;
 use bench::reference::mlp_local_update_reference;
@@ -267,7 +267,7 @@ fn bench_pool(c: &mut Criterion) {
     // smallest fan-out the engines issue.
     let system = bench_system(FlSystemConfig::mnist_lr_quick(), 4, 7);
     let dispatch = system.template.params();
-    let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(11));
+    let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(11), NormCache::Off);
     group.bench_function("small_group_round_2", |b| {
         b.iter(|| {
             pool.train_members(&[0, 1], &dispatch, &system, true);

@@ -11,11 +11,22 @@
 //!
 //! The parameter server forms the denoised group estimate
 //! `w̃_j^t = y_t / (D_{j_t} √η_t)` which plugs into the asynchronous global
-//! update of Eq. (10) / Eq. (16). This module performs that computation and
-//! reports the per-round aggregation error `ε_j^t` (Eq. (17)) and the energy
-//! spent by each worker (Eq. (7)).
+//! update of Eq. (10) / Eq. (16).
+//!
+//! Two entry points compute it:
+//!
+//! * [`air_aggregate_indexed_into`] — the lean kernel the engines run every
+//!   round: the weighted sum in member order, the AWGN draw, the denoising
+//!   and the per-worker energy of Eq. (7), into caller-owned buffers. It
+//!   reads each member's `‖w_i‖²` through [`AirContribution::norm_sq`], so a
+//!   caller that already has it ([`NormedInput`]; the engines compute it on
+//!   the training pool) skips the q-length pass on the serial round path.
+//! * [`air_aggregate`] — the allocating reference. It runs the kernel and
+//!   then also builds the ideal group model of Eq. (15) and the squared
+//!   aggregation error `‖ε_j^t‖²` of Eq. (17), a diagnostic the engines never
+//!   read.
 
-use crate::energy::transmit_energy;
+use crate::energy::transmit_energy_from_norm_sq;
 use crate::power::transmit_power;
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
@@ -30,6 +41,45 @@ pub struct AirAggregationInput<'a> {
     pub channel_gain: f64,
     /// The worker's local model `w_i^t`.
     pub params: &'a FlatParams,
+}
+
+/// What [`air_aggregate_indexed_into`] reads of one member: its
+/// [`AirAggregationInput`] and its squared model norm `‖w_i‖²`.
+pub trait AirContribution {
+    /// The member's data size, channel gain and local model.
+    fn input(&self) -> &AirAggregationInput<'_>;
+
+    /// `‖w_i‖²`, the Eq. (7) energy factor. Computed from the model unless
+    /// the implementor already has it.
+    fn norm_sq(&self) -> f64 {
+        self.input().params.norm_sq()
+    }
+}
+
+impl AirContribution for AirAggregationInput<'_> {
+    fn input(&self) -> &AirAggregationInput<'_> {
+        self
+    }
+}
+
+/// A contribution whose `‖w_i‖²` the caller has already computed. It must
+/// equal `input.params.norm_sq()` bit for bit, or the energy changes.
+#[derive(Debug, Clone)]
+pub struct NormedInput<'a> {
+    /// The member's data size, channel gain and local model.
+    pub input: AirAggregationInput<'a>,
+    /// `input.params.norm_sq()`, computed once by the caller.
+    pub norm_sq: f64,
+}
+
+impl AirContribution for NormedInput<'_> {
+    fn input(&self) -> &AirAggregationInput<'_> {
+        &self.input
+    }
+
+    fn norm_sq(&self) -> f64 {
+        self.norm_sq
+    }
 }
 
 /// Result of one over-the-air aggregation.
@@ -59,16 +109,11 @@ impl AirAggregationResult {
     }
 }
 
-/// Reusable scratch for [`air_aggregate_into`]: the ideal-model buffer and
-/// the per-worker energy vector that the allocating [`air_aggregate`] wrapper
-/// would otherwise create fresh each round. One instance per engine loop,
-/// reused across every round (buffers grow to the group/model size once and
-/// stay there).
+/// Reusable scratch for [`air_aggregate_indexed_into`]: the per-worker
+/// energy vector. One instance per engine loop, reused across every round
+/// (it grows to the group size once and stays there).
 #[derive(Debug, Default)]
 pub struct AirAggregationScratch {
-    /// The ideal (error-free) group model `Σ (d_i/D_j) w_i^t` of Eq. (15),
-    /// as of the most recent [`air_aggregate_into`] call.
-    pub ideal: FlatParams,
     /// Energy `E_i^t` spent by each participating worker (Eq. (7)), in input
     /// order, as of the most recent call.
     pub per_worker_energy: Vec<f64>,
@@ -81,18 +126,17 @@ impl AirAggregationScratch {
     }
 }
 
-/// The scalar outputs of one in-place over-the-air aggregation (the vector
+/// The scalar output of one in-place over-the-air aggregation (the vector
 /// outputs land in the caller's estimate buffer and
 /// [`AirAggregationScratch`]).
 #[derive(Debug, Clone, Copy)]
 pub struct AirAggregationStats {
-    /// Squared L2 norm of the aggregation error `ε_j^t` (Eq. (17)).
-    pub error_norm_sq: f64,
     /// Total data size `D_{j_t}` of the participants.
     pub group_data_size: f64,
 }
 
-/// Perform one over-the-air aggregation (Eq. (9) + the denoising of Eq. (10)).
+/// Perform one over-the-air aggregation (Eq. (9) + the denoising of Eq. (10))
+/// and report its error against the ideal group model (Eq. (15), Eq. (17)).
 ///
 /// * `sigma` / `eta` — the power-scaling and denoising factors chosen by
 ///   Algorithm 2 for this round.
@@ -100,9 +144,9 @@ pub struct AirAggregationStats {
 ///
 /// Panics if the inputs are empty or have mismatched dimensions.
 ///
-/// Allocating convenience wrapper around [`air_aggregate_into`]; the engine
-/// loops call the `_into` variant with round-persistent buffers so the whole
-/// AirComp round is allocation-free in steady state.
+/// The allocating reference: the estimate and energies come from
+/// [`air_aggregate_indexed_into`] (same bits, same RNG draws); the ideal
+/// model and the error are computed here, after it.
 pub fn air_aggregate(
     inputs: &[AirAggregationInput<'_>],
     sigma: f64,
@@ -113,8 +157,9 @@ pub fn air_aggregate(
     let dim = inputs.first().map_or(0, |c| c.params.dim());
     let mut group_estimate = FlatParams::zeros(dim);
     let mut scratch = AirAggregationScratch::new();
-    let stats = air_aggregate_into(
-        inputs,
+    let stats = air_aggregate_indexed_into(
+        inputs.len(),
+        |k| inputs[k].clone(),
         sigma,
         eta,
         noise_variance,
@@ -122,57 +167,36 @@ pub fn air_aggregate(
         &mut group_estimate,
         &mut scratch,
     );
+    // Ideal group model sum_i (d_i / D_j) w_i, in member order.
+    let mut ideal_group_model = FlatParams::zeros(dim);
+    for c in inputs {
+        ideal_group_model.axpy(c.data_size / stats.group_data_size, c.params);
+    }
     AirAggregationResult {
+        error_norm_sq: group_estimate.dist_sq(&ideal_group_model),
         group_estimate,
-        ideal_group_model: scratch.ideal,
-        error_norm_sq: stats.error_norm_sq,
+        ideal_group_model,
         per_worker_energy: scratch.per_worker_energy,
         group_data_size: stats.group_data_size,
     }
 }
 
-/// In-place variant of [`air_aggregate`]: writes the denoised group estimate
-/// into `group_estimate` (resized to the model dimension) and the secondary
-/// outputs into `scratch`, so the per-round engine loop performs **zero**
-/// heap allocations once the buffers have grown to size. Bit-identical to
-/// [`air_aggregate`] (same accumulation order, same RNG draw order).
-pub fn air_aggregate_into(
-    inputs: &[AirAggregationInput<'_>],
-    sigma: f64,
-    eta: f64,
-    noise_variance: f64,
-    rng: &mut Rng64,
-    group_estimate: &mut FlatParams,
-    scratch: &mut AirAggregationScratch,
-) -> AirAggregationStats {
-    air_aggregate_indexed_into(
-        inputs.len(),
-        |k| inputs[k].clone(),
-        sigma,
-        eta,
-        noise_variance,
-        rng,
-        group_estimate,
-        scratch,
-    )
-}
-
-/// Gather variant of [`air_aggregate_into`]: the `count` contributions are
-/// produced on demand by `input(k)` instead of being read from a
-/// pre-collected slice.
+/// The aggregation kernel: writes the denoised group estimate into
+/// `group_estimate` (resized to the model dimension) and the per-worker
+/// energies into `scratch`, so the per-round engine loop performs **zero**
+/// heap allocations once the buffers have grown to size.
 ///
-/// This is what lets the engine loops drop their last steady-state heap
-/// allocation on the AirComp path — the per-round
-/// `Vec<AirAggregationInput>` that existed only to marry each member's
-/// `(data_size, gain)` pair to a borrow of its local model. The engines now
-/// pass `|k| AirAggregationInput { data_size: data_sizes[k], channel_gain:
-/// gains[k], params: pool.local(members[k]) }` straight from their
-/// round-persistent buffers. Bit-identical to the slice path: same
-/// accumulation order (`k = 0, 1, …`), same RNG draw order.
+/// The `count` contributions are produced on demand by `input(k)`, so the
+/// engines gather each member's `(data_size, gain)` pair, its local model
+/// and its cached `‖w_i‖²` ([`NormedInput`]) straight from round-persistent
+/// buffers, with no per-round `Vec` of inputs. Work per call: one axpy per
+/// member (`k = 0, 1, …`), the AWGN draw (skipped when `noise_variance` is
+/// 0) and one rescale. The energy of Eq. (7) is `p·p·‖w_i‖²` from
+/// [`AirContribution::norm_sq`], bit-identical to `transmit_energy`.
 #[allow(clippy::too_many_arguments)]
-pub fn air_aggregate_indexed_into<'p>(
+pub fn air_aggregate_indexed_into<C: AirContribution>(
     count: usize,
-    input: impl Fn(usize) -> AirAggregationInput<'p>,
+    input: impl Fn(usize) -> C,
     sigma: f64,
     eta: f64,
     noise_variance: f64,
@@ -184,26 +208,25 @@ pub fn air_aggregate_indexed_into<'p>(
     assert!(sigma > 0.0, "sigma must be positive");
     assert!(eta > 0.0, "eta must be positive");
     assert!(noise_variance >= 0.0, "noise variance must be non-negative");
-    let dim = input(0).params.dim();
-    let group_data_size: f64 = (0..count).map(|k| input(k).data_size).sum();
+    let dim = input(0).input().params.dim();
+    let group_data_size: f64 = (0..count).map(|k| input(k).input().data_size).sum();
     assert!(group_data_size > 0.0, "group data size must be positive");
 
     // Received superposed signal y_t = sum_i d_i sigma w_i + z_t, accumulated
     // directly in the caller's estimate buffer.
     group_estimate.0.resize(dim, 0.0);
     group_estimate.as_mut_slice().fill(0.0);
-    // Ideal group model sum_i (d_i / D_j) w_i.
-    scratch.ideal.0.resize(dim, 0.0);
-    scratch.ideal.as_mut_slice().fill(0.0);
     scratch.per_worker_energy.clear();
     for k in 0..count {
-        let c = input(k);
+        let contribution = input(k);
+        let c = contribution.input();
         assert_eq!(c.params.dim(), dim, "parameter dimension mismatch");
         assert!(c.data_size > 0.0, "worker data size must be positive");
         group_estimate.axpy(c.data_size * sigma, c.params);
-        scratch.ideal.axpy(c.data_size / group_data_size, c.params);
         let p = transmit_power(c.data_size, sigma, c.channel_gain);
-        scratch.per_worker_energy.push(transmit_energy(p, c.params));
+        scratch
+            .per_worker_energy
+            .push(transmit_energy_from_norm_sq(p, contribution.norm_sq()));
     }
     if noise_variance > 0.0 {
         let std = noise_variance.sqrt();
@@ -212,12 +235,8 @@ pub fn air_aggregate_indexed_into<'p>(
 
     // Denoised group estimate w~ = y / (D_j sqrt(eta)).
     group_estimate.scale(1.0 / (group_data_size * eta.sqrt()));
-    let error_norm_sq = group_estimate.dist_sq(&scratch.ideal);
 
-    AirAggregationStats {
-        error_norm_sq,
-        group_data_size,
-    }
+    AirAggregationStats { group_data_size }
 }
 
 /// Apply the asynchronous global update of Eq. (10)/(16):
@@ -394,8 +413,9 @@ mod tests {
             let mut rng_a = Rng64::seed_from(100 + round);
             let mut rng_b = Rng64::seed_from(100 + round);
             let res = air_aggregate(&inputs, 1.3, 1.7, 0.2, &mut rng_a);
-            let stats = air_aggregate_into(
-                &inputs,
+            let stats = air_aggregate_indexed_into(
+                inputs.len(),
+                |k| inputs[k].clone(),
                 1.3,
                 1.7,
                 0.2,
@@ -404,30 +424,28 @@ mod tests {
                 &mut scratch,
             );
             assert_eq!(stats.group_data_size, res.group_data_size);
-            assert_eq!(stats.error_norm_sq.to_bits(), res.error_norm_sq.to_bits());
             for (x, y) in estimate.0.iter().zip(res.group_estimate.0.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
-            for (x, y) in scratch.ideal.0.iter().zip(res.ideal_group_model.0.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
             assert_eq!(scratch.per_worker_energy, res.per_worker_energy);
+            assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "RNG streams diverged");
         }
         // Steady state: buffers settled at the model dimension, no regrowth.
         assert_eq!(estimate.dim(), 4);
-        assert_eq!(scratch.ideal.dim(), 4);
         assert!(scratch.per_worker_energy.capacity() >= 2);
     }
 
     #[test]
-    fn indexed_gather_is_bit_identical_to_the_slice_and_allocating_paths() {
+    fn cached_norm_gather_is_bit_identical_to_the_allocating_path() {
         // The engines gather inputs on demand from separate (data_size, gain,
-        // params) buffers; that path must consume the same RNG stream and
-        // produce the same bits as both existing entry points.
+        // params) buffers and hand over each member's cached ||w||^2; that
+        // path must consume the same RNG stream and produce the same bits as
+        // the allocating reference, which computes every norm itself.
         let a = params(vec![0.7, -1.5, 2.25, 0.125]);
         let b = params(vec![3.5, 4.0, -2.0, 1.75]);
         let c = params(vec![-0.25, 0.5, 1.0, -1.125]);
         let models = [&a, &b, &c];
+        let norms = models.map(|m| m.norm_sq());
         let data_sizes = [10.0, 30.0, 25.0];
         let gains = [0.8, 0.5, 1.2];
         let inputs: Vec<AirAggregationInput<'_>> = (0..3)
@@ -445,10 +463,13 @@ mod tests {
             let mut scratch = AirAggregationScratch::new();
             let stats = air_aggregate_indexed_into(
                 3,
-                |k| AirAggregationInput {
-                    data_size: data_sizes[k],
-                    channel_gain: gains[k],
-                    params: models[k],
+                |k| NormedInput {
+                    input: AirAggregationInput {
+                        data_size: data_sizes[k],
+                        channel_gain: gains[k],
+                        params: models[k],
+                    },
+                    norm_sq: norms[k],
                 },
                 1.1,
                 1.9,
@@ -458,15 +479,37 @@ mod tests {
                 &mut scratch,
             );
             assert_eq!(stats.group_data_size, res.group_data_size);
-            assert_eq!(stats.error_norm_sq.to_bits(), res.error_norm_sq.to_bits());
             for (x, y) in estimate.0.iter().zip(res.group_estimate.0.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
-            for (x, y) in scratch.ideal.0.iter().zip(res.ideal_group_model.0.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
             assert_eq!(scratch.per_worker_energy, res.per_worker_energy);
+            assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "RNG streams diverged");
         }
+    }
+
+    #[test]
+    fn reference_error_is_the_distance_to_the_ideal_model() {
+        let a = params(vec![0.5, -1.0, 2.0]);
+        let b = params(vec![1.5, 0.25, -0.75]);
+        let inputs = vec![
+            AirAggregationInput {
+                data_size: 12.0,
+                channel_gain: 0.9,
+                params: &a,
+            },
+            AirAggregationInput {
+                data_size: 4.0,
+                channel_gain: 1.4,
+                params: &b,
+            },
+        ];
+        let res = air_aggregate(&inputs, 0.8, 1.2, 0.1, &mut Rng64::seed_from(6));
+        let ideal = FlatParams::weighted_sum(&[(0.75, &a), (0.25, &b)]);
+        assert!(res.ideal_group_model.dist_sq(&ideal) < 1e-24);
+        assert_eq!(
+            res.error_norm_sq.to_bits(),
+            res.group_estimate.dist_sq(&res.ideal_group_model).to_bits()
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * [`channel`] — per-round block-fading channel gains `h_i^t`.
 //! * [`aircomp`] — the analog superposition of Eq. (9) and the denoised group
-//!   estimate of Eq. (10), plus aggregation-error metrics.
+//!   estimate of Eq. (10); the allocating reference also reports the
+//!   aggregation error of Eq. (17).
 //! * [`power`] — Algorithm 2: alternating optimisation of the power-scaling
 //!   factor `σ_t` and the denoising factor `η_t` under per-worker energy
 //!   budgets (Eq. (44) and Eq. (47)).
@@ -27,8 +28,8 @@ pub mod power;
 pub mod timing;
 
 pub use aircomp::{
-    air_aggregate, air_aggregate_indexed_into, air_aggregate_into, AirAggregationInput,
-    AirAggregationResult, AirAggregationScratch, AirAggregationStats,
+    air_aggregate, air_aggregate_indexed_into, AirAggregationInput, AirAggregationResult,
+    AirAggregationScratch, AirAggregationStats, AirContribution, NormedInput,
 };
 pub use channel::ChannelModel;
 pub use power::{optimize_power, PowerControlConfig, PowerSolution};

@@ -6,6 +6,7 @@
 use air_fedga::airfedga::mechanism::{AirFedGa, AirFedGaConfig};
 use air_fedga::airfedga::system::{FlMechanism, FlSystem, FlSystemConfig};
 use air_fedga::baselines::{AirFedAvg, BaselineOptions, Dynamic, DynamicConfig, FedAvg, TiFl};
+use air_fedga::faults::FaultSpec;
 use air_fedga::fedml::rng::Rng64;
 
 fn small_system(seed: u64) -> FlSystem {
@@ -146,4 +147,68 @@ fn energy_is_only_spent_by_aircomp_mechanisms() {
     assert_eq!(fedavg.total_energy(), 0.0);
     assert_eq!(tifl.total_energy(), 0.0);
     assert!(air.total_energy() > 0.0);
+}
+
+/// FNV-1a over the bits of every trace point's time, loss, accuracy and
+/// energy, in trace order.
+fn trace_digest(trace: &air_fedga::simcore::trace::TrainingTrace) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for p in trace.points() {
+        for v in [p.time, p.loss, p.accuracy, p.energy] {
+            for byte in v.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn aircomp_traces_match_their_golden_digests() {
+    // Golden values pin the AirComp engines bit for bit: any change to the
+    // power-control input, the Eq. (7) energy, the aggregation sum or the
+    // RNG draw order moves a digest. Both the fault-free path and the
+    // churn/straggler/deadline path are covered.
+    let mut churn = FlSystemConfig::mnist_lr_quick();
+    churn.faults = FaultSpec {
+        dropout_rate: 0.02,
+        mean_downtime: 5.0,
+        straggler_fraction: 0.3,
+        straggler_slowdown: 3.0,
+        deadline: Some(40.0),
+        ..FaultSpec::none()
+    };
+    let systems = [
+        FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(42)),
+        churn.build(&mut Rng64::seed_from(42)),
+    ];
+    let expected: [[u64; 3]; 2] = [
+        [0x5cd8ce822596e335, 0x17b689933843de6b, 0xa1af31c42a838215],
+        [0x6ba0b62442468f5d, 0x680e0808c2f6b01b, 0x956bbd2fd065b58f],
+    ];
+    let mut actual = [[0u64; 3]; 2];
+    for (s, system) in systems.iter().enumerate() {
+        let mechanisms: [Box<dyn FlMechanism>; 3] = [
+            Box::new(AirFedGa::new(AirFedGaConfig {
+                total_rounds: 40,
+                eval_every: 4,
+                ..AirFedGaConfig::default()
+            })),
+            Box::new(AirFedAvg::new(opts(20))),
+            Box::new(Dynamic::new(DynamicConfig {
+                options: opts(40),
+                ..DynamicConfig::default()
+            })),
+        ];
+        for (m, mech) in mechanisms.iter().enumerate() {
+            let trace = mech.run(system, &mut Rng64::seed_from(4242));
+            assert!(trace.len() > 1, "{} recorded no rounds", mech.name());
+            if s == 1 {
+                assert!(trace.faults.participation_rate() < 1.0, "{}", mech.name());
+            }
+            actual[s][m] = trace_digest(&trace);
+        }
+    }
+    assert_eq!(actual, expected, "AirComp trace digests drifted");
 }
