@@ -1,5 +1,5 @@
-//! Benchmarks of the experiment-level `run_grid` / `run_replicated`
-//! parallelism layers.
+//! Benchmarks of the experiment-level `run_grid` fan-out and the
+//! `harness::execute` executor built on it.
 //!
 //! * `grid/run_grid_8cells` — 8 independent (seed, mechanism) cells fanned
 //!   across the persistent worker pool through
@@ -7,13 +7,14 @@
 //!   with its own RNG stream.
 //! * `grid/sequential_8cells` — the same cells run through a plain
 //!   sequential loop; both entries compute byte-identical results.
-//! * `replicated/run_replicated_4cells_x3seeds` — the multi-seed layer: 4
-//!   mechanism-style cells × 3 replication seeds fanned as one flat
-//!   12-replicate grid (the over-decomposed pool schedule's target shape:
-//!   replicate costs are uneven because different seeds converge at
-//!   different round counts), folded into per-eval-point Welford stats.
-//! * `replicated/sequential_4cells_x3seeds` — the same product as the
-//!   sequential double loop plus the same fold; bit-identical results.
+//! * `replicated/execute_4cells_x3seeds` — the executor: a plan of 4
+//!   mechanism cells × 3 replication seeds (system built once, `NoCache`)
+//!   fanned as one flat 12-replicate grid (the over-decomposed pool
+//!   schedule's target shape: replicate costs are uneven across mechanisms
+//!   and seeds), folded into per-eval-point Welford stats.
+//! * `replicated/sequential_4cells_x3seeds` — the same system build and
+//!   product as the sequential double loop plus the same fold;
+//!   bit-identical results.
 //!
 //! On a multi-core host the fanned entries should be ≥ 3× faster than their
 //! sequential twins; on a single-core host (`PARALLEL_THREADS=1` or one CPU)
@@ -30,9 +31,11 @@
 use airfedga::system::FlMechanism;
 use airfedga::system::FlSystemConfig;
 use baselines::{AirFedAvg, BaselineOptions};
-use bench::bench_system;
+use bench::{bench_config, bench_system};
 use criterion::{criterion_group, criterion_main, Criterion};
-use experiments::harness::{run_grid, run_replicated, RunSummary};
+use experiments::harness::{
+    execute, run_grid, MechanismChoice, NoCache, Plan, RunPolicy, RunSummary, SeedPlan,
+};
 use experiments::stats::CellStats;
 use fedml::rng::Rng64;
 use std::hint::black_box;
@@ -60,36 +63,34 @@ fn bench_grid(c: &mut Criterion) {
 }
 
 fn bench_replicated(c: &mut Criterion) {
-    let system = bench_system(FlSystemConfig::mnist_lr_quick(), 8, 21);
-    let opts = BaselineOptions {
-        total_rounds: 2,
-        eval_every: 2,
-        max_virtual_time: None,
-        parallel: true,
-    };
-    // Cells are distinguished by a base offset folded into the run seed, so
-    // every (cell, seed) replicate draws a distinct RNG stream — the same
-    // shape the figure binaries use.
-    let run_one = |cell: u64, seed: u64| {
-        let mech = AirFedAvg::new(opts);
-        RunSummary::from_trace(mech.run(&system, &mut Rng64::seed_from(cell * 1000 + seed)))
-    };
-    let seeds = [4242u64, 4243, 4244];
+    let seeds = vec![4242u64, 4243, 4244];
+    let plan = Plan::comparison(
+        bench_config(FlSystemConfig::mnist_lr_quick(), 8),
+        &MechanismChoice::all()[1..],
+        SeedPlan::fixed_system(21, seeds.clone()),
+        2,
+        2,
+        None,
+    );
     let mut group = c.benchmark_group("replicated");
-    group.bench_function("run_replicated_4cells_x3seeds", |b| {
-        b.iter(|| {
-            black_box(run_replicated((0..4u64).collect(), &seeds, |&cell, s| {
-                run_one(cell, s)
-            }))
-        })
+    group.bench_function("execute_4cells_x3seeds", |b| {
+        b.iter(|| black_box(execute(&plan, &RunPolicy::default(), &NoCache)))
     });
     group.bench_function("sequential_4cells_x3seeds", |b| {
         b.iter(|| {
-            let cells: Vec<CellStats> = (0..4u64)
+            let system = plan.systems[0].build(&mut Rng64::seed_from(plan.seeds.system_seed));
+            let cells: Vec<CellStats> = plan
+                .cells
+                .iter()
                 .map(|cell| {
-                    let per_seed: Vec<RunSummary> =
-                        seeds.iter().map(|&s| run_one(cell, s)).collect();
-                    CellStats::from_summaries(seeds.to_vec(), per_seed)
+                    let per_seed: Vec<RunSummary> = seeds
+                        .iter()
+                        .map(|&s| {
+                            let trace = plan.mechanism(cell).run(&system, &mut Rng64::seed_from(s));
+                            RunSummary::from_trace(trace)
+                        })
+                        .collect();
+                    CellStats::from_summaries(seeds.clone(), per_seed)
                 })
                 .collect();
             black_box(cells)

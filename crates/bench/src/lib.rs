@@ -30,11 +30,17 @@ use fedml::rng::Rng64;
 /// A small but non-trivial system used by the end-to-end benchmark groups:
 /// 16 label-skewed heterogeneous workers.
 pub fn bench_system(config: FlSystemConfig, num_workers: usize, seed: u64) -> FlSystem {
+    bench_config(config, num_workers).build(&mut Rng64::seed_from(seed))
+}
+
+/// The configuration [`bench_system`] builds: `config` shrunk to
+/// `num_workers` workers with small shards and test set.
+pub fn bench_config(config: FlSystemConfig, num_workers: usize) -> FlSystemConfig {
     let mut cfg = config;
     cfg.num_workers = num_workers;
     cfg.dataset.samples_per_class = 40.max(num_workers * 3 / cfg.dataset.num_classes.max(1));
     cfg.test_per_class = 10;
-    cfg.build(&mut Rng64::seed_from(seed))
+    cfg
 }
 
 /// Number of rounds used by the end-to-end benchmark runs; small enough for

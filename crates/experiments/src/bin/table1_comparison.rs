@@ -12,7 +12,7 @@
 
 use airfedga::mechanism::{AirFedGa, AirFedGaConfig};
 use airfedga::system::FlSystemConfig;
-use experiments::harness::{compare_mechanisms, MechanismChoice};
+use experiments::harness::{execute, MechanismChoice, NoCache, Plan, RunPolicy, SeedPlan};
 use experiments::report::Table;
 use experiments::scale::Scale;
 use fedml::rng::Rng64;
@@ -37,17 +37,18 @@ fn main() {
         // Constant per-worker shard size across the two population sizes, so
         // the scalability column measures the mechanisms, not shard shrinkage.
         cfg.dataset.samples_per_class = 30 * n / cfg.dataset.num_classes.max(1);
-        let summaries = compare_mechanisms(
-            &cfg,
+        let plan = Plan::comparison(
+            cfg,
             &mechanisms,
+            SeedPlan::fixed_system(42, vec![4242]),
             rounds,
             scale.eval_every(),
             None,
-            42,
-            4242,
         );
-        for (row, s) in summaries.iter().enumerate() {
-            avg_round[row][col] = s.average_round_time;
+        let outcome = execute(&plan, &RunPolicy::default(), &NoCache);
+        assert!(outcome.is_complete(), "{}", outcome.failure_report());
+        for (row, cell) in outcome.cells.iter().enumerate() {
+            avg_round[row][col] = cell.as_ref().expect("complete").first().average_round_time;
         }
     }
 

@@ -1,63 +1,31 @@
-//! Shared driver for the loss/accuracy-vs-time figures (Figs. 3–6) and the
-//! energy figure (Fig. 9): run the AirComp mechanisms on one system, print
-//! the paper-style summary rows and dump one CSV per mechanism.
+//! The shared run parameters ([`FigureParams`]) and the report of the
+//! loss/accuracy-vs-time figures (Figs. 3–6, and the first half of Fig. 9):
+//! a summary table, one CSV per mechanism and the Air-FedGA speed-up lines.
 //!
-//! With `num_seeds > 1` the driver replicates every mechanism over the seed
-//! stream `4242, 4243, …` (see `stats::replication_seeds`), prints
-//! mean±std summary rows and writes per-mechanism error-bar CSVs (plus a
-//! shaded-band gnuplot script) next to the canonical first-seed traces.
-//! `num_seeds == 1` is byte-identical to the historical single-seed driver.
-//! The [`FigureParams`] bundle also carries the `--system-seeds` axis
-//! (re-sample the system per replicate) and the run-shape overrides a
-//! scenario file may set (explicit worker count, round budget, cadence,
-//! virtual-time cap).
+//! With more than one seed the report prints mean±std rows and writes
+//! per-mechanism error-bar CSVs (plus a shaded-band gnuplot script) next to
+//! the canonical first-seed traces; one seed is byte-identical to the
+//! historical single-seed output. [`FigureParams`] also carries the
+//! `--system-seeds` axis (re-sample the system per replicate) and the
+//! run-shape overrides a scenario file may set (explicit worker count,
+//! round budget, cadence, virtual-time cap).
 
-use crate::harness::{
-    compare_mechanisms_replicated_durable, CellFailure, MechanismChoice, NoCache, ReplicateCache,
-    RunPolicy, RunSummary, SeedPlan,
-};
+use crate::harness::{Plan, SeedPlan};
 use crate::report::{error_bar_csv, fmt_opt_secs, fmt_secs, gnuplot_script, try_write_csv, Table};
-use crate::scale::{seeds_flag, system_seeds_flag, Scale};
+use crate::scale::Scale;
 use crate::stats::{replication_seeds, CellStats};
 use airfedga::system::FlSystemConfig;
 
-/// Outcome of a figure run, returned so integration tests can assert on the
-/// reproduced *shape* (who wins, roughly by how much).
-#[derive(Debug, Clone)]
-pub struct FigureOutcome {
-    /// Full replication statistics per mechanism, in the order they were
-    /// requested (a one-seed fold when the figure ran without `--seeds`).
-    pub cells: Vec<CellStats>,
-}
-
-impl FigureOutcome {
-    /// The canonical (first-seed) summaries, one per mechanism, in request
-    /// order — borrowed from [`Self::cells`] rather than stored twice.
-    pub fn summaries(&self) -> impl Iterator<Item = &RunSummary> {
-        self.cells.iter().map(|c| c.first())
-    }
-
-    /// The canonical summary for a given mechanism label.
-    pub fn get(&self, label: &str) -> &RunSummary {
-        self.summaries()
-            .find(|s| s.mechanism == label)
-            .unwrap_or_else(|| panic!("no summary for mechanism {label}"))
-    }
-}
-
-/// The run-RNG seed every figure binary historically used; replicate `r`
-/// runs with `FIGURE_RUN_SEED + r`.
+/// The run-RNG seed every figure historically used; replicate `r` runs
+/// with `FIGURE_RUN_SEED + r`.
 pub const FIGURE_RUN_SEED: u64 = 4242;
 
-/// The system-construction seed shared by the figure binaries.
+/// The system-construction seed every figure historically used.
 pub const FIGURE_SYSTEM_SEED: u64 = 42;
 
-/// Everything a figure driver needs beyond the workload itself: scale,
+/// Everything a figure run needs beyond the workload itself: scale,
 /// replication, seeds and the run-shape overrides a scenario file may set.
-/// [`FigureParams::from_env`] reproduces the historical binary behaviour
-/// (scale from `AIRFEDGA_SCALE`, replication from `--seeds` /
-/// `--system-seeds`, everything else at the figure defaults), and the
-/// `Default` value is the historical single-seed full-scale run.
+/// The `Default` value is the historical single-seed full-scale run.
 #[derive(Debug, Clone)]
 pub struct FigureParams {
     /// Experiment scale (worker counts, round budgets, shard sizes).
@@ -99,17 +67,6 @@ impl Default for FigureParams {
 }
 
 impl FigureParams {
-    /// The figure binaries' parameter source: scale from the environment,
-    /// replication from the `--seeds N` / `--system-seeds` flags.
-    pub fn from_env() -> Self {
-        Self {
-            scale: Scale::from_env(),
-            num_seeds: seeds_flag(),
-            vary_system: system_seeds_flag(),
-            ..Self::default()
-        }
-    }
-
     /// The seed plan these parameters describe.
     pub fn plan(&self) -> SeedPlan {
         SeedPlan {
@@ -141,105 +98,25 @@ impl FigureParams {
     }
 }
 
-/// Run one loss/accuracy-vs-time comparison (the shape of Figs. 3–6).
-///
-/// * `workload` — the system preset (model + dataset).
-/// * `mechanisms` — which mechanisms to compare.
-/// * `accuracy_targets` — the accuracies whose time-to-reach is reported
-///   (e.g. the paper quotes time to a stable 80 % for Fig. 3).
-/// * `csv_prefix` — base name for the per-mechanism CSV traces.
-/// * `params` — scale, replication and run-shape overrides
-///   ([`FigureParams::from_env`] for the binaries). `num_seeds == 1`
-///   reproduces the historical single-seed output byte for byte; `> 1` adds
-///   mean±std rows, `*_errorbars.csv` files and a shaded-band gnuplot script.
-pub fn run_time_accuracy_figure(
+/// Print and write the report of a loss/accuracy-vs-time comparison (the
+/// shape of Figs. 3–6): the workload banner, a summary row per surviving
+/// mechanism with the time to each of `accuracy_targets`, and one CSV per
+/// mechanism named `<csv_prefix>_<mechanism>.csv`. `plan` is the comparison
+/// [`crate::harness::execute`] ran (one system) and `cells` its result.
+pub fn report_time_accuracy(
     title: &str,
-    workload: FlSystemConfig,
-    mechanisms: &[MechanismChoice],
     accuracy_targets: &[f64],
     csv_prefix: &str,
-    params: &FigureParams,
-) -> FigureOutcome {
-    let run = run_time_accuracy_figure_durable(
-        title,
-        workload,
-        mechanisms,
-        accuracy_targets,
-        csv_prefix,
-        params,
-        &RunPolicy::default(),
-        &NoCache,
-    );
-    run.survivors()
-}
-
-/// Result of a durable figure run: per-mechanism statistics in request order
-/// (`None` where every replicate of a mechanism died) plus the recorded
-/// replicate failures.
-#[derive(Debug)]
-pub struct FigureRun {
-    /// Per-mechanism folded statistics, request order; `None` = the
-    /// mechanism lost every replicate.
-    pub cells: Vec<Option<CellStats>>,
-    /// Replicate failures across the flat (mechanism × seed) grid,
-    /// including the recovered ones.
-    pub failures: Vec<CellFailure>,
-}
-
-impl FigureRun {
-    /// The surviving cells as a [`FigureOutcome`] (for shape assertions and
-    /// [`print_speedups`]).
-    pub fn survivors(&self) -> FigureOutcome {
-        FigureOutcome {
-            cells: self.cells.iter().flatten().cloned().collect(),
-        }
-    }
-
-    /// True when no replicate was lost for good.
-    pub fn is_complete(&self) -> bool {
-        self.failures.iter().all(|f| f.recovered)
-    }
-}
-
-/// [`run_time_accuracy_figure`] under an explicit [`RunPolicy`] and
-/// [`ReplicateCache`]: replicates are panic-isolated (a dead mechanism is
-/// dropped from the table and CSVs instead of aborting the figure), cached
-/// replicates are loaded instead of re-run, and fresh ones are persisted as
-/// they complete. With the default policy and [`NoCache`] — how
-/// [`run_time_accuracy_figure`] calls it — a healthy run's stdout and CSV
-/// bytes are identical to the historical driver.
-#[allow(clippy::too_many_arguments)]
-pub fn run_time_accuracy_figure_durable(
-    title: &str,
-    workload: FlSystemConfig,
-    mechanisms: &[MechanismChoice],
-    accuracy_targets: &[f64],
-    csv_prefix: &str,
-    params: &FigureParams,
-    policy: &RunPolicy,
-    cache: &dyn ReplicateCache,
-) -> FigureRun {
-    let scale = params.scale;
-    let cfg = params.apply(workload);
+    scale: Scale,
+    plan: &Plan,
+    cells: &[Option<CellStats>],
+) {
+    let cfg = &plan.systems[0];
     println!(
         "{title}\n  workload: {} | {} workers | {} rounds (scale: {scale:?})",
-        cfg.dataset.name,
-        cfg.num_workers,
-        params.rounds()
+        cfg.dataset.name, cfg.num_workers, plan.total_rounds
     );
-    let plan = params.plan();
-    let seeds = plan.run_seeds.clone();
-    let outcome = compare_mechanisms_replicated_durable(
-        &cfg,
-        mechanisms,
-        params.rounds(),
-        params.eval(),
-        params.max_virtual_time,
-        &plan,
-        policy,
-        cache,
-    );
-    let cells = outcome.cells;
+    let seeds = &plan.seeds.run_seeds;
     // Robustness columns appear only for faulty workloads, so fault-free
     // figures keep their historical byte-frozen table layout.
     let faulty = !cfg.faults.is_none();
@@ -286,11 +163,11 @@ pub fn run_time_accuracy_figure_durable(
             seeds[0],
             seeds[seeds.len() - 1]
         );
-        if plan.vary_system {
+        if plan.seeds.vary_system {
             println!(
                 "  system re-sampled per replicate (system seeds {}..{})",
-                plan.system_seed,
-                plan.system_seed + (seeds.len() as u64 - 1)
+                plan.seeds.system_seed,
+                plan.seeds.system_seed + (seeds.len() as u64 - 1)
             );
         }
         for c in cells.iter().flatten() {
@@ -363,17 +240,14 @@ pub fn run_time_accuracy_figure_durable(
             &gnuplot_script(title, &format!("{csv_prefix}_errorbars.png"), &series),
         );
     }
-    FigureRun {
-        cells,
-        failures: outcome.failures,
-    }
 }
 
 /// Print the paper's headline speed-up claim for a figure: how much faster
-/// Air-FedGA reaches `target` accuracy than each other mechanism.
-pub fn print_speedups(outcome: &FigureOutcome, target: f64) {
-    let Some(ga) = outcome
-        .summaries()
+/// Air-FedGA reaches `target` accuracy than each other surviving mechanism
+/// (canonical first-seed runs).
+pub fn print_speedups(cells: &[Option<CellStats>], target: f64) {
+    let summaries = || cells.iter().flatten().map(CellStats::first);
+    let Some(ga) = summaries()
         .find(|s| s.mechanism == "Air-FedGA")
         .and_then(|s| s.time_to_accuracy(target))
     else {
@@ -383,7 +257,7 @@ pub fn print_speedups(outcome: &FigureOutcome, target: f64) {
         );
         return;
     };
-    for s in outcome.summaries() {
+    for s in summaries() {
         if s.mechanism == "Air-FedGA" {
             continue;
         }
@@ -409,6 +283,7 @@ pub fn print_speedups(outcome: &FigureOutcome, target: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{execute, MechanismChoice, NoCache, RunPolicy};
 
     fn quick_params(num_seeds: usize) -> FigureParams {
         FigureParams {
@@ -418,20 +293,42 @@ mod tests {
         }
     }
 
+    /// Run `mechanisms` on the quick LR workload under `params` and print
+    /// the time-accuracy report; returns the folded cells.
+    fn run_figure(
+        title: &str,
+        mechanisms: &[MechanismChoice],
+        csv_prefix: &str,
+        params: &FigureParams,
+    ) -> Vec<Option<CellStats>> {
+        let plan = Plan::comparison(
+            params.apply(FlSystemConfig::mnist_lr_quick()),
+            mechanisms,
+            params.plan(),
+            params.rounds(),
+            params.eval(),
+            params.max_virtual_time,
+        );
+        let cells = execute(&plan, &RunPolicy::default(), &NoCache).cells;
+        report_time_accuracy(title, &[0.5], csv_prefix, params.scale, &plan, &cells);
+        cells
+    }
+
     #[test]
     fn figure_driver_runs_at_quick_scale() {
-        let outcome = run_time_accuracy_figure(
+        let cells = run_figure(
             "test figure",
-            FlSystemConfig::mnist_lr_quick(),
             &[MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa],
-            &[0.5],
             "test_fig",
             &quick_params(1),
         );
-        assert_eq!(outcome.summaries().count(), 2);
-        assert_eq!(outcome.cells.len(), 2);
-        assert_eq!(outcome.get("Air-FedGA").mechanism, "Air-FedGA");
-        print_speedups(&outcome, 0.5);
+        assert_eq!(cells.len(), 2);
+        let labels: Vec<&str> = cells
+            .iter()
+            .map(|c| c.as_ref().unwrap().mechanism.as_str())
+            .collect();
+        assert_eq!(labels, vec!["Air-FedAvg", "Air-FedGA"]);
+        print_speedups(&cells, 0.5);
     }
 
     #[test]
@@ -453,33 +350,20 @@ mod tests {
 
     #[test]
     fn replicated_figure_keeps_the_first_seed_canonical() {
-        let single = run_time_accuracy_figure(
-            "single",
-            FlSystemConfig::mnist_lr_quick(),
-            &[MechanismChoice::AirFedGa],
-            &[0.5],
-            "test_fig_s1",
-            &quick_params(1),
-        );
-        let triple = run_time_accuracy_figure(
-            "triple",
-            FlSystemConfig::mnist_lr_quick(),
-            &[MechanismChoice::AirFedGa],
-            &[0.5],
-            "test_fig_s3",
-            &quick_params(3),
-        );
+        let ga = [MechanismChoice::AirFedGa];
+        let single = run_figure("single", &ga, "test_fig_s1", &quick_params(1));
+        let triple = run_figure("triple", &ga, "test_fig_s3", &quick_params(3));
+        let (single, triple) = (single[0].as_ref().unwrap(), triple[0].as_ref().unwrap());
         // Replicate 0 of the multi-seed run IS the single-seed run.
-        let a = &single.cells[0].first().trace;
-        let b = &triple.cells[0].first().trace;
+        let a = &single.first().trace;
+        let b = &triple.first().trace;
         assert_eq!(a.len(), b.len());
         for (pa, pb) in a.points().iter().zip(b.points()) {
             assert_eq!(pa.loss.to_bits(), pb.loss.to_bits());
             assert_eq!(pa.time.to_bits(), pb.time.to_bits());
         }
         // Error-bar statistics cover all three replicates.
-        let cell = &triple.cells[0];
-        assert_eq!(cell.seeds, vec![4242, 4243, 4244]);
-        assert!(cell.points.iter().all(|p| p.loss.n == 3));
+        assert_eq!(triple.seeds, vec![4242, 4243, 4244]);
+        assert!(triple.points.iter().all(|p| p.loss.n == 3));
     }
 }

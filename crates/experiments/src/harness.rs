@@ -1,32 +1,36 @@
-//! Running several mechanisms on identical systems and summarising the runs.
+//! Running mechanisms on simulated systems and summarising the runs.
 //!
-//! The comparisons of Figs. 3–6 and Figs. 9–10 always follow the same shape:
-//! build one [`FlSystem`], run each mechanism on it (same seed, same shards,
-//! same heterogeneity, same channel statistics), and compare loss/accuracy
-//! vs. virtual time, time-to-accuracy and energy-to-accuracy. This module
-//! provides that loop plus the [`RunSummary`] extracted from each trace —
-//! and [`run_grid`], the **experiment-level parallelism** layer that fans
-//! independent (seed, mechanism, config) cells of a figure/table grid across
-//! the persistent worker pool while each cell's training rounds keep using
-//! the pool's inner per-member fan-out (nested fork/join is deadlock-free;
-//! see the `parallel` crate docs).
+//! Every experiment — a Figs. 3–6 comparison, the Fig. 8 ξ-sweep, the
+//! Fig. 10 worker sweep, a generic scenario grid — lowers to one [`Plan`]:
+//! the distinct system configurations, a list of cells (a mechanism, with
+//! an optional ξ, on one of those systems) and a [`SeedPlan`]. [`execute`]
+//! runs the flat `(cell × seed)` product of a plan and folds each cell's
+//! replicates into [`CellStats`]; callers differ only in how they build the
+//! plan and how they render the result. [`run_grid`] is the pool fan-out
+//! primitive underneath: it spreads independent cells across the persistent
+//! worker pool while each cell's training rounds keep using the pool's
+//! inner per-member fan-out (nested fork/join is deadlock-free; see the
+//! `parallel` crate docs).
 //!
-//! ## Multi-seed replication
+//! ## What `execute` guarantees
 //!
-//! [`run_replicated`] layers seed replication on top of [`run_grid`]: it fans
-//! the full (cell × seed) product across the pool — exactly the regime where
-//! the pool's over-decomposed scheduling pays off, since different seeds of
-//! the same cell can finish at very different times — and folds each cell's
-//! per-seed [`RunSummary`] traces into per-eval-point mean/std/min/max
-//! ([`crate::stats::CellStats`], built on the streaming Welford accumulator).
+//! * **Systems.** A fixed-system plan builds each distinct system once, from
+//!   the plan's system seed, and shares it across cells and replicates;
+//!   under `--system-seeds` every replicate builds its own system from
+//!   `system_seed + r`.
+//! * **Isolation.** Every replicate runs under `catch_unwind` (and the
+//!   [`RunPolicy`] watchdog, if any); failures are retried sequentially and
+//!   come back as labelled [`CellFailure`]s instead of aborting the run.
+//! * **Durability.** A [`ReplicateCache`] is consulted before anything runs,
+//!   and fresh replicates are persisted as soon as they complete.
 //!
 //! **Seed-stream contract** (see [`crate::stats::replication_seeds`]):
-//! replicate `r` of a cell runs with seed `seeds[r]`, and the figure binaries
-//! use `base + r` with the historical single-seed value as `base` — so
-//! `--seeds 1` is the historical run itself (byte-identical output), and
-//! raising `N` appends replicates without renumbering existing ones. Cells
-//! and seeds obey the same determinism rules as [`run_grid`] (cell-local RNG
-//! streams, no I/O), so replicated grids are bit-identical to the sequential
+//! replicate `r` of a cell runs with seed `seeds[r]`, and the scenario
+//! files use `base + r` with the historical single-seed value as `base` —
+//! so `--seeds 1` is the historical run itself (byte-identical output), and
+//! raising `N` appends replicates without renumbering existing ones. Every
+//! replicate seeds its RNGs from its own `(system seed, run seed)` pair and
+//! does no I/O, so a plan's results are bit-identical to the sequential
 //! double loop at any `PARALLEL_THREADS` / `PARALLEL_CHUNKS` setting.
 
 use crate::stats::CellStats;
@@ -173,40 +177,15 @@ impl RunSummary {
     }
 }
 
-/// Run the chosen mechanisms on one freshly-built system.
-///
-/// Every mechanism sees the same system (same seed `system_seed`) and the
-/// same run seed (`run_seed`), so differences in the traces come only from
-/// the aggregation strategy.
-pub fn compare_mechanisms(
-    config: &FlSystemConfig,
-    mechanisms: &[MechanismChoice],
-    total_rounds: usize,
-    eval_every: usize,
-    max_virtual_time: Option<f64>,
-    system_seed: u64,
-    run_seed: u64,
-) -> Vec<RunSummary> {
-    let system = config.build(&mut Rng64::seed_from(system_seed));
-    compare_on_system(
-        &system,
-        mechanisms,
-        total_rounds,
-        eval_every,
-        max_virtual_time,
-        run_seed,
-    )
-}
-
 /// Fan the independent cells of an experiment grid across the persistent
 /// worker pool, returning the per-cell results **in input order**.
 ///
-/// A *cell* is one self-contained unit of a figure/table grid — a (seed,
-/// mechanism, config) combination, a worker-count of a scalability sweep, a
-/// ξ value of the Fig. 8 sweep. Cells run concurrently (each may itself use
-/// inner per-member round parallelism: the pool supports nested fan-out), so
-/// `run_cell` must uphold the determinism contract that makes the grid's
-/// output byte-identical to a sequential `cells.into_iter().map(run_cell)`:
+/// A *cell* is one self-contained unit of work — a `(cell × seed)`
+/// replicate of [`execute`], the grouping of one ξ value. Cells run
+/// concurrently (each may itself use inner per-member round parallelism:
+/// the pool supports nested fan-out), so `run_cell` must uphold the
+/// determinism contract that makes the grid's output byte-identical to a
+/// sequential `cells.into_iter().map(run_cell)`:
 ///
 /// * **Cell-local RNG**: every stochastic draw inside a cell must come from
 ///   generators seeded from the cell's own data (e.g.
@@ -256,13 +235,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One first-attempt failure of an isolated grid run.
+/// One first-attempt failure of a replicate run by [`execute`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFailure {
-    /// Input-order index of the failed cell.
+    /// Index of the failed replicate in the flat (cell × seed) grid.
     pub index: usize,
-    /// Human-readable cell label — for replicated grids this carries the
-    /// (cell, seed) pair.
+    /// `"<cell label> seed <seed>"`.
     pub label: String,
     /// Panic message of the last failing attempt.
     pub message: String,
@@ -314,7 +292,7 @@ impl CellFailure {
     }
 }
 
-/// Per-cell execution limits for the isolated runners: how many bounded
+/// Per-replicate execution limits for [`execute`]: how many bounded
 /// retries a failed attempt gets, how long to back off between them, and an
 /// optional wall-clock watchdog per attempt. The default reproduces the
 /// historical behaviour exactly: one retry, no backoff, no timeout.
@@ -405,8 +383,7 @@ fn attempt_cell<R>(policy: &RunPolicy, f: impl FnOnce() -> R) -> Result<R, Strin
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_message(&*payload))
 }
 
-/// A persistent store of completed replicates consulted by
-/// [`run_replicated_isolated_plan`]. Keys are the (cell index, cell label,
+/// A persistent store of completed replicates consulted by [`execute`]. Keys are the (cell index, cell label,
 /// run seed, system seed) coordinates of one replicate *within a fixed
 /// already-hashed experiment* — the store implementation (see the
 /// `runstore` crate) scopes them under a content hash of the full spec.
@@ -447,201 +424,16 @@ impl ReplicateCache for NoCache {
     fn store(&self, _: usize, _: &str, _: u64, _: u64, _: &RunSummary) {}
 }
 
-/// Result of an isolated grid run: per-cell results in input order (`None`
-/// where a cell failed twice) plus every recorded failure.
-#[derive(Debug)]
-pub struct GridOutcome<R> {
-    /// Per-cell results, input order; `None` = failed even after the retry.
-    pub results: Vec<Option<R>>,
-    /// First-attempt failures (including the ones whose retry succeeded).
-    pub failures: Vec<CellFailure>,
-}
-
-impl<R> GridOutcome<R> {
-    /// True when every cell produced a result (possibly via retry).
-    pub fn is_complete(&self) -> bool {
-        self.results.iter().all(Option::is_some)
-    }
-
-    /// Multi-line failure report (empty string when nothing failed). Lines
-    /// are sorted by (cell index, label) so reruns diff cleanly no matter
-    /// what order the parallel pass surfaced the failures in.
-    pub fn failure_report(&self) -> String {
-        if self.failures.is_empty() {
-            return String::new();
-        }
-        let lost = self.results.iter().filter(|r| r.is_none()).count();
-        let mut out = format!(
-            "{} of {} grid cells panicked ({} unrecovered after retry):\n",
-            self.failures.len(),
-            self.results.len(),
-            lost
-        );
-        for f in sorted_failures(&self.failures) {
-            out.push_str("  - ");
-            out.push_str(&f.describe());
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Failures ordered by (cell index, label) — the deterministic report order.
-/// For replicated grids the index is the flat (cell × seed) coordinate, so
-/// this is exactly (cell index, seed) order.
-fn sorted_failures(failures: &[CellFailure]) -> Vec<&CellFailure> {
-    let mut sorted: Vec<&CellFailure> = failures.iter().collect();
-    sorted.sort_by(|a, b| a.index.cmp(&b.index).then_with(|| a.label.cmp(&b.label)));
-    sorted
-}
-
-/// [`run_grid`] with per-cell panic isolation: a panicking cell no longer
-/// aborts the whole grid. Every cell runs under `catch_unwind`; failed cells
-/// are retried once, sequentially, after the parallel pass (a transient
-/// failure mode — e.g. an allocation blip under memory pressure — should not
-/// cost the grid), and cells that fail twice surface as `None` results plus
-/// a [`CellFailure`] labelled by `label`, so drivers can emit partial CSVs
-/// and a failure report instead of losing hours of completed work.
-///
-/// Successful cells are bit-identical to [`run_grid`] — isolation only
-/// wraps the call, it does not touch the cell's RNG streams.
-pub fn run_grid_isolated<T, R, F, L>(cells: Vec<T>, label: L, run_cell: F) -> GridOutcome<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    L: Fn(usize, &T) -> String,
-{
-    run_grid_isolated_with(cells, label, &RunPolicy::default(), run_cell)
-}
-
-/// [`run_grid_isolated`] under an explicit [`RunPolicy`]: bounded retries
-/// with deterministic linear backoff, and an optional per-attempt watchdog
-/// timeout. The default policy makes this identical to
-/// [`run_grid_isolated`].
-pub fn run_grid_isolated_with<T, R, F, L>(
-    cells: Vec<T>,
-    label: L,
-    policy: &RunPolicy,
-    run_cell: F,
-) -> GridOutcome<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    L: Fn(usize, &T) -> String,
-{
-    let cells_ref = &cells;
-    let run_ref = &run_cell;
-    let progress = telemetry::progress::Reporter::new("cells", cells.len());
-    let progress_ref = &progress;
-    let first_pass: Vec<Result<R, String>> = run_grid((0..cells.len()).collect(), |i| {
-        let _scope = telemetry::spans::scope(i as i64, -1, 0);
-        let _span = telemetry::span!("cell", i);
-        let attempt = attempt_cell(policy, || run_ref(&cells_ref[i]));
-        if attempt.is_ok() {
-            progress_ref.done(true);
-        }
-        attempt
-    });
-    let mut results: Vec<Option<R>> = Vec::with_capacity(cells.len());
-    let mut failures: Vec<CellFailure> = Vec::new();
-    for (index, attempt) in first_pass.into_iter().enumerate() {
-        match attempt {
-            Ok(result) => results.push(Some(result)),
-            Err(first_message) => {
-                // Bounded sequential retries, still isolated.
-                let mut attempts = 1usize;
-                let mut last_message = first_message.clone();
-                let mut recovered_result = None;
-                while recovered_result.is_none() && attempts <= policy.max_retries {
-                    policy.backoff_sleep(attempts);
-                    telemetry::metrics::HARNESS_RETRIES.add(1);
-                    progress.retried();
-                    attempts += 1;
-                    let _scope = telemetry::spans::scope(index as i64, -1, (attempts - 1) as u32);
-                    let _span = telemetry::span!("cell", index);
-                    match attempt_cell(policy, || run_cell(&cells[index])) {
-                        Ok(result) => recovered_result = Some(result),
-                        Err(message) => last_message = message,
-                    }
-                }
-                let recovered = recovered_result.is_some();
-                progress.done(recovered);
-                failures.push(CellFailure {
-                    index,
-                    label: label(index, &cells[index]),
-                    // Recovered cells report what first went wrong; dead
-                    // cells report the final attempt's panic.
-                    message: if recovered {
-                        first_message
-                    } else {
-                        last_message
-                    },
-                    recovered,
-                    attempts,
-                });
-                results.push(recovered_result);
-            }
-        }
-    }
-    progress.finish();
-    GridOutcome { results, failures }
-}
-
-/// Fan the full (cell × seed) replication product across the persistent
-/// worker pool and fold each cell's replicates into [`CellStats`].
-///
-/// `run_cell(&cell, seed)` runs one replicate; it must follow the same
-/// determinism contract as [`run_grid`] (all randomness derived from the
-/// cell's own data and the given seed, no I/O). Replicates are fanned in
-/// cell-major order — `(cell 0, seeds[0]), (cell 0, seeds[1]), …` — as one
-/// flat grid, so a slow (cell, seed) pair never serializes the others; the
-/// over-decomposed pool schedule keeps threads busy across the uneven tails.
-///
-/// With a single seed this is [`run_grid`] plus a per-cell fold whose
-/// statistics degenerate to that seed's values (`CellStats::first()` is the
-/// run itself) — which is how the `--seeds 1` experiment paths stay
-/// byte-identical to their historical single-seed output.
-pub fn run_replicated<T, F>(cells: Vec<T>, seeds: &[u64], run_cell: F) -> Vec<CellStats>
-where
-    T: Sync + Send,
-    F: Fn(&T, u64) -> RunSummary + Sync,
-{
-    assert!(!seeds.is_empty(), "replication needs at least one seed");
-    let pairs: Vec<(usize, u64)> = (0..cells.len())
-        .flat_map(|ci| seeds.iter().map(move |&s| (ci, s)))
-        .collect();
-    let cells_ref = &cells;
-    let flat: Vec<RunSummary> = run_grid(pairs, |(ci, seed)| {
-        // Attach the (cell, seed) pair before the panic leaves the replicate:
-        // the flat grid index alone does not identify the failing replicate.
-        match catch_unwind(AssertUnwindSafe(|| run_cell(&cells_ref[ci], seed))) {
-            Ok(summary) => summary,
-            Err(payload) => panic!(
-                "replicate (cell {ci}, seed {seed}) panicked: {}",
-                panic_message(&*payload)
-            ),
-        }
-    });
-    let mut flat = flat.into_iter();
-    (0..cells.len())
-        .map(|_| {
-            let per_seed: Vec<RunSummary> = flat.by_ref().take(seeds.len()).collect();
-            CellStats::from_summaries(seeds.to_vec(), per_seed)
-        })
-        .collect()
-}
-
-/// Result of an isolated replicated run: per-cell folded statistics (`None`
-/// when **every** replicate of the cell failed twice) plus the failures,
-/// labelled `"<cell label> seed <seed>"`.
+/// Result of [`execute`]: per-cell folded statistics (`None` when **every**
+/// replicate of the cell was lost) plus the failures, labelled
+/// `"<cell label> seed <seed>"`.
 #[derive(Debug)]
 pub struct ReplicatedOutcome {
-    /// Per-cell statistics folded over the *surviving* replicates, input
+    /// Per-cell statistics folded over the *surviving* replicates, in plan
     /// order. A cell whose replicates all failed is `None`.
     pub cells: Vec<Option<CellStats>>,
-    /// First-attempt failures across the flat (cell × seed) grid.
+    /// First-attempt failures across the flat (cell × seed) grid, in flat
+    /// (cell index, seed) order.
     pub failures: Vec<CellFailure>,
 }
 
@@ -651,207 +443,26 @@ impl ReplicatedOutcome {
         self.failures.iter().all(|f| f.recovered)
     }
 
-    /// Multi-line failure report (empty string when nothing failed). Sorted
-    /// by the flat (cell index, seed) coordinate — see [`sorted_failures`].
+    /// Multi-line failure report; see [`failure_report`].
     pub fn failure_report(&self) -> String {
-        if self.failures.is_empty() {
-            return String::new();
-        }
-        let mut out = format!("{} replicate(s) panicked:\n", self.failures.len());
-        for f in sorted_failures(&self.failures) {
-            out.push_str("  - ");
-            out.push_str(&f.describe());
-            out.push('\n');
-        }
-        out
+        failure_report(&self.failures)
     }
 }
 
-/// [`run_replicated`] with per-replicate panic isolation: each (cell, seed)
-/// pair runs under `catch_unwind` and is retried once on failure; a
-/// replicate that fails twice is dropped from its cell's folded statistics
-/// (the error bars simply cover fewer seeds) instead of aborting the grid.
-/// `label(ci, &cell)` names the cell in the failure report.
-pub fn run_replicated_isolated<T, F, L>(
-    cells: Vec<T>,
-    seeds: &[u64],
-    label: L,
-    run_cell: F,
-) -> ReplicatedOutcome
-where
-    T: Sync + Send,
-    F: Fn(&T, u64) -> RunSummary + Sync,
-    L: Fn(usize, &T) -> String,
-{
-    // The system seed only keys the (absent) cache here; 0 is arbitrary.
-    let plan = SeedPlan::fixed_system(0, seeds.to_vec());
-    run_replicated_isolated_plan(
-        cells,
-        &plan,
-        label,
-        &RunPolicy::default(),
-        &NoCache,
-        run_cell,
-    )
-}
-
-/// The durable core of the isolated replicated runner: consult a
-/// [`ReplicateCache`] before computing, run only the misses (in parallel),
-/// persist fresh successes as soon as they complete, and apply the
-/// [`RunPolicy`]'s bounded retries / watchdog to every attempt.
-///
-/// The cache pass is sequential and in input order, so a fully warmed cache
-/// replays the grid deterministically without touching the worker pool; a
-/// partially warmed cache re-runs exactly the missing replicates. Because
-/// every replicate is bit-identical regardless of where or when it runs
-/// (the house determinism contract), a resumed grid folds to the same
-/// [`CellStats`] — and therefore the same rendered bytes — as an
-/// uninterrupted one. `plan.system_seed_for(seed)` is part of each cache
-/// key, so `--system-seeds` replicates never collide with fixed-system
-/// ones. [`CellFailure::index`] refers to the full flat (cell × seed) grid,
-/// not the miss list, so failure reports read the same whether or not the
-/// cache was warm.
-pub fn run_replicated_isolated_plan<T, F, L>(
-    cells: Vec<T>,
-    plan: &SeedPlan,
-    label: L,
-    policy: &RunPolicy,
-    cache: &dyn ReplicateCache,
-    run_cell: F,
-) -> ReplicatedOutcome
-where
-    T: Sync + Send,
-    F: Fn(&T, u64) -> RunSummary + Sync,
-    L: Fn(usize, &T) -> String,
-{
-    let seeds = &plan.run_seeds;
-    assert!(!seeds.is_empty(), "replication needs at least one seed");
-    let cell_labels: Vec<String> = cells
-        .iter()
-        .enumerate()
-        .map(|(ci, cell)| label(ci, cell))
-        .collect();
-    let pairs: Vec<(usize, u64)> = (0..cells.len())
-        .flat_map(|ci| seeds.iter().map(move |&s| (ci, s)))
-        .collect();
-
-    // Cache pass: load completed replicates, queue the rest.
-    let progress = telemetry::progress::Reporter::new("cells", pairs.len());
-    let mut results: Vec<Option<RunSummary>> = Vec::with_capacity(pairs.len());
-    let mut todo: Vec<usize> = Vec::new();
-    for (flat, &(ci, seed)) in pairs.iter().enumerate() {
-        match cache.load(ci, &cell_labels[ci], seed, plan.system_seed_for(seed)) {
-            Some(summary) => {
-                progress.cached();
-                results.push(Some(summary));
-            }
-            None => {
-                results.push(None);
-                todo.push(flat);
-            }
-        }
+/// Multi-line report of replicate failures (empty string when nothing
+/// failed). [`execute`] records failures in flat (cell index, seed) order,
+/// so reruns diff cleanly whatever order the parallel pass finished in.
+pub fn failure_report(failures: &[CellFailure]) -> String {
+    if failures.is_empty() {
+        return String::new();
     }
-
-    // Parallel pass over the misses only; fresh successes are persisted
-    // immediately (the store's writes are atomic per file), so an
-    // interrupted grid loses at most the replicates still in flight.
-    let cells_ref = &cells;
-    let labels_ref = &cell_labels;
-    let pairs_ref = &pairs;
-    let run_ref = &run_cell;
-    let progress_ref = &progress;
-    let first_pass: Vec<Result<RunSummary, String>> = run_grid(todo.clone(), |flat| {
-        let (ci, seed) = pairs_ref[flat];
-        let _scope = telemetry::spans::scope(ci as i64, seed as i64, 0);
-        let _span = telemetry::span!("replicate", seed);
-        let attempt = attempt_cell(policy, || run_ref(&cells_ref[ci], seed));
-        if let Ok(summary) = &attempt {
-            cache.store(
-                ci,
-                &labels_ref[ci],
-                seed,
-                plan.system_seed_for(seed),
-                summary,
-            );
-            progress_ref.done(true);
-        }
-        attempt
-    });
-
-    // Bounded sequential retries, input order.
-    let mut failures: Vec<CellFailure> = Vec::new();
-    for (flat, attempt) in todo.into_iter().zip(first_pass) {
-        let (ci, seed) = pairs[flat];
-        match attempt {
-            Ok(summary) => results[flat] = Some(summary),
-            Err(first_message) => {
-                let mut attempts = 1usize;
-                let mut last_message = first_message.clone();
-                let mut recovered_summary = None;
-                while recovered_summary.is_none() && attempts <= policy.max_retries {
-                    policy.backoff_sleep(attempts);
-                    telemetry::metrics::HARNESS_RETRIES.add(1);
-                    progress.retried();
-                    attempts += 1;
-                    let _scope =
-                        telemetry::spans::scope(ci as i64, seed as i64, (attempts - 1) as u32);
-                    let _span = telemetry::span!("replicate", seed);
-                    match attempt_cell(policy, || run_cell(&cells[ci], seed)) {
-                        Ok(summary) => {
-                            cache.store(
-                                ci,
-                                &cell_labels[ci],
-                                seed,
-                                plan.system_seed_for(seed),
-                                &summary,
-                            );
-                            recovered_summary = Some(summary);
-                        }
-                        Err(message) => last_message = message,
-                    }
-                }
-                let recovered = recovered_summary.is_some();
-                progress.done(recovered);
-                failures.push(CellFailure {
-                    index: flat,
-                    label: format!("{} seed {}", cell_labels[ci], seed),
-                    message: if recovered {
-                        first_message
-                    } else {
-                        last_message
-                    },
-                    recovered,
-                    attempts,
-                });
-                results[flat] = recovered_summary;
-            }
-        }
+    let mut out = format!("{} replicate(s) panicked:\n", failures.len());
+    for f in failures {
+        out.push_str("  - ");
+        out.push_str(&f.describe());
+        out.push('\n');
     }
-    progress.finish();
-
-    // Fold per cell over the surviving replicates.
-    let mut flat_iter = results.into_iter();
-    let folded = (0..cells.len())
-        .map(|_| {
-            let mut kept_seeds = Vec::new();
-            let mut per_seed = Vec::new();
-            for &seed in seeds {
-                if let Some(summary) = flat_iter.next().expect("flat grid is cells × seeds") {
-                    kept_seeds.push(seed);
-                    per_seed.push(summary);
-                }
-            }
-            if per_seed.is_empty() {
-                None
-            } else {
-                Some(CellStats::from_summaries(kept_seeds, per_seed))
-            }
-        })
-        .collect();
-    ReplicatedOutcome {
-        cells: folded,
-        failures,
-    }
+    out
 }
 
 /// How one replicated comparison derives its RNG streams: the system seed,
@@ -908,127 +519,325 @@ impl SeedPlan {
     }
 }
 
-/// Replicated comparison driven by a [`SeedPlan`]: one replicated cell per
-/// mechanism. With a fixed-system plan the system is built once and shared
-/// (byte-identical to the historical [`compare_on_system_replicated`] path);
-/// with `vary_system` every replicate builds its own system from
-/// `system_seed + r`, so the folded statistics cover system-sampling noise
-/// too.
-pub fn compare_mechanisms_replicated(
-    config: &FlSystemConfig,
-    mechanisms: &[MechanismChoice],
-    total_rounds: usize,
-    eval_every: usize,
-    max_virtual_time: Option<f64>,
-    plan: &SeedPlan,
-) -> Vec<CellStats> {
-    if !plan.vary_system {
-        let system = config.build(&mut Rng64::seed_from(plan.system_seed));
-        return compare_on_system_replicated(
-            &system,
-            mechanisms,
+/// One cell of a [`Plan`]: a mechanism, with an optional ξ override, run on
+/// one of the plan's systems.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanCell {
+    /// Names the cell in failure reports and keys it in the run store.
+    pub label: String,
+    /// Index into [`Plan::systems`].
+    pub system: usize,
+    /// The mechanism this cell runs.
+    pub mechanism: MechanismChoice,
+    /// Air-FedGA's ξ (ignored by mechanisms without one; `None` keeps the
+    /// default).
+    pub xi: Option<f64>,
+}
+
+/// A whole experiment as [`execute`] runs it: the flat `(cell × seed)`
+/// product of `cells` and `seeds.run_seeds`, every cell running its
+/// mechanism on `systems[cell.system]` with the shared run shape.
+#[derive(Debug, Clone)]
+pub struct Plan {
+    /// The distinct system configurations the cells run on.
+    pub systems: Vec<FlSystemConfig>,
+    /// The cells, in report order.
+    pub cells: Vec<PlanCell>,
+    /// Run seeds, system seed and whether systems are re-sampled per
+    /// replicate.
+    pub seeds: SeedPlan,
+    /// Round budget of every run.
+    pub total_rounds: usize,
+    /// Evaluation cadence of every run.
+    pub eval_every: usize,
+    /// Optional virtual-time budget of every run (seconds).
+    pub max_virtual_time: Option<f64>,
+}
+
+impl Plan {
+    /// The comparison shape: one cell per mechanism, labelled by the
+    /// mechanism, all on the one system `config`.
+    pub fn comparison(
+        config: FlSystemConfig,
+        mechanisms: &[MechanismChoice],
+        seeds: SeedPlan,
+        total_rounds: usize,
+        eval_every: usize,
+        max_virtual_time: Option<f64>,
+    ) -> Self {
+        Self {
+            systems: vec![config],
+            cells: mechanisms
+                .iter()
+                .map(|&mechanism| PlanCell {
+                    label: mechanism.label().to_string(),
+                    system: 0,
+                    mechanism,
+                    xi: None,
+                })
+                .collect(),
+            seeds,
             total_rounds,
             eval_every,
             max_virtual_time,
-            &plan.run_seeds,
-        );
+        }
     }
-    run_replicated(mechanisms.to_vec(), &plan.run_seeds, |&choice, run_seed| {
-        let system = config.build(&mut Rng64::seed_from(plan.system_seed_for(run_seed)));
-        let mech = choice.build(total_rounds, eval_every, max_virtual_time);
-        let trace = mech.run(&system, &mut Rng64::seed_from(run_seed));
+
+    /// Instantiate `cell`'s mechanism with this plan's run shape, applying
+    /// the cell's ξ to Air-FedGA (the other mechanisms have none).
+    pub fn mechanism(&self, cell: &PlanCell) -> Box<dyn FlMechanism> {
+        match (cell.mechanism, cell.xi) {
+            (MechanismChoice::AirFedGa, Some(xi)) => Box::new(AirFedGa::new(AirFedGaConfig {
+                xi,
+                total_rounds: self.total_rounds,
+                eval_every: self.eval_every,
+                max_virtual_time: self.max_virtual_time,
+                ..AirFedGaConfig::default()
+            })),
+            (choice, _) => choice.build(self.total_rounds, self.eval_every, self.max_virtual_time),
+        }
+    }
+}
+
+/// Run every `(cell × seed)` replicate of `plan` and fold each cell's
+/// survivors into [`CellStats`].
+///
+/// Replicates found in `cache` are loaded, not run. The rest run in
+/// parallel under `policy`: each attempt is panic-isolated (and watched, if
+/// the policy sets a timeout), failed replicates are retried sequentially
+/// in flat order, and every fresh success is stored in `cache` as soon as
+/// it completes. Because every replicate is bit-identical wherever and
+/// whenever it runs, a resumed plan folds to the same statistics — and so
+/// the same rendered bytes — as an uninterrupted one.
+pub fn execute(plan: &Plan, policy: &RunPolicy, cache: &dyn ReplicateCache) -> ReplicatedOutcome {
+    execute_with(plan, policy, cache, |cell, system, seed| {
+        let trace = plan
+            .mechanism(cell)
+            .run(system, &mut Rng64::seed_from(seed));
         RunSummary::from_trace(trace)
     })
 }
 
-/// [`compare_mechanisms_replicated`] with per-replicate panic isolation, a
-/// [`RunPolicy`] (bounded retries, optional watchdog) and a
-/// [`ReplicateCache`] consulted before any computation. With the default
-/// policy and [`NoCache`] the surviving statistics are bit-identical to
-/// [`compare_mechanisms_replicated`]; unlike it, a panicking replicate is
-/// reported as a labelled [`CellFailure`] instead of aborting the figure.
-#[allow(clippy::too_many_arguments)]
-pub fn compare_mechanisms_replicated_durable(
-    config: &FlSystemConfig,
-    mechanisms: &[MechanismChoice],
-    total_rounds: usize,
-    eval_every: usize,
-    max_virtual_time: Option<f64>,
-    plan: &SeedPlan,
+/// [`execute`] with the replicate body supplied by the caller: `run(cell,
+/// system, seed)` replaces building and running the cell's mechanism. The
+/// seam tests use to inject panics, hangs and flaky attempts; everything
+/// else — caching, system builds, isolation, retries, the fold — is the
+/// same code [`execute`] runs.
+pub fn execute_with<F>(
+    plan: &Plan,
     policy: &RunPolicy,
     cache: &dyn ReplicateCache,
-) -> ReplicatedOutcome {
-    let label = |_: usize, choice: &MechanismChoice| choice.label().to_string();
-    if !plan.vary_system {
-        // Fixed-system plan: build the system once and share it, exactly
-        // like the historical path.
-        let system = config.build(&mut Rng64::seed_from(plan.system_seed));
-        let system_ref = &system;
-        return run_replicated_isolated_plan(
-            mechanisms.to_vec(),
-            plan,
-            label,
-            policy,
-            cache,
-            |&choice, run_seed| {
-                let mech = choice.build(total_rounds, eval_every, max_virtual_time);
-                RunSummary::from_trace(mech.run(system_ref, &mut Rng64::seed_from(run_seed)))
-            },
-        );
+    run: F,
+) -> ReplicatedOutcome
+where
+    F: Fn(&PlanCell, &FlSystem, u64) -> RunSummary + Sync,
+{
+    let seeds = &plan.seeds.run_seeds;
+    assert!(!seeds.is_empty(), "replication needs at least one seed");
+    let pairs: Vec<(usize, u64)> = (0..plan.cells.len())
+        .flat_map(|ci| seeds.iter().map(move |&s| (ci, s)))
+        .collect();
+    let system_seed = |seed: u64| plan.seeds.system_seed_for(seed);
+
+    // Cache pass: load completed replicates, queue the rest.
+    let progress = telemetry::progress::Reporter::new("cells", pairs.len());
+    let mut results: Vec<Option<RunSummary>> = Vec::with_capacity(pairs.len());
+    let mut todo: Vec<usize> = Vec::new();
+    for (flat, &(ci, seed)) in pairs.iter().enumerate() {
+        let loaded = cache.load(ci, &plan.cells[ci].label, seed, system_seed(seed));
+        if loaded.is_some() {
+            progress.cached();
+        } else {
+            todo.push(flat);
+        }
+        results.push(loaded);
     }
-    run_replicated_isolated_plan(
-        mechanisms.to_vec(),
-        plan,
-        label,
-        policy,
-        cache,
-        |&choice, run_seed| {
-            let system = config.build(&mut Rng64::seed_from(plan.system_seed_for(run_seed)));
-            let mech = choice.build(total_rounds, eval_every, max_virtual_time);
-            RunSummary::from_trace(mech.run(&system, &mut Rng64::seed_from(run_seed)))
-        },
-    )
-}
 
-/// Replicated variant of [`compare_on_system`]: one replicated cell per
-/// mechanism, replicate `r` of every mechanism using `run_seeds[r]`.
-pub fn compare_on_system_replicated(
-    system: &FlSystem,
-    mechanisms: &[MechanismChoice],
-    total_rounds: usize,
-    eval_every: usize,
-    max_virtual_time: Option<f64>,
-    run_seeds: &[u64],
-) -> Vec<CellStats> {
-    run_replicated(mechanisms.to_vec(), run_seeds, |&choice, run_seed| {
-        let mech = choice.build(total_rounds, eval_every, max_virtual_time);
-        let trace = mech.run(system, &mut Rng64::seed_from(run_seed));
-        RunSummary::from_trace(trace)
-    })
-}
+    // A fixed-system plan builds each distinct system a pending replicate
+    // needs, once, and shares it; under `--system-seeds` every replicate
+    // builds its own from `system_seed + r`.
+    let shared: Vec<Option<FlSystem>> = if plan.seeds.vary_system {
+        Vec::new()
+    } else {
+        (0..plan.systems.len())
+            .map(|si| {
+                let needed = todo.iter().any(|&f| plan.cells[pairs[f].0].system == si);
+                needed
+                    .then(|| plan.systems[si].build(&mut Rng64::seed_from(plan.seeds.system_seed)))
+            })
+            .collect()
+    };
+    let run_one = |ci: usize, seed: u64| {
+        let cell = &plan.cells[ci];
+        if plan.seeds.vary_system {
+            let system = plan.systems[cell.system].build(&mut Rng64::seed_from(system_seed(seed)));
+            run(cell, &system, seed)
+        } else {
+            run(
+                cell,
+                shared[cell.system].as_ref().expect("built above"),
+                seed,
+            )
+        }
+    };
+    let attempt = |ci: usize, seed: u64, retry: u32| {
+        let _scope = telemetry::spans::scope(ci as i64, seed as i64, retry);
+        let _span = telemetry::span!("replicate", seed);
+        let outcome = attempt_cell(policy, || run_one(ci, seed));
+        if let Ok(summary) = &outcome {
+            cache.store(ci, &plan.cells[ci].label, seed, system_seed(seed), summary);
+        }
+        outcome
+    };
 
-/// Run the chosen mechanisms on an already-built system: one [`run_grid`]
-/// cell per mechanism, every cell re-seeding its own run RNG from `run_seed`
-/// (the per-cell RNG stream that keeps the grid's output identical to a
-/// sequential loop).
-pub fn compare_on_system(
-    system: &FlSystem,
-    mechanisms: &[MechanismChoice],
-    total_rounds: usize,
-    eval_every: usize,
-    max_virtual_time: Option<f64>,
-    run_seed: u64,
-) -> Vec<RunSummary> {
-    run_grid(mechanisms.to_vec(), |choice| {
-        let mech = choice.build(total_rounds, eval_every, max_virtual_time);
-        let trace = mech.run(system, &mut Rng64::seed_from(run_seed));
-        RunSummary::from_trace(trace)
-    })
+    // Parallel pass over the misses only; fresh successes are persisted
+    // immediately (the store's writes are atomic per file), so an
+    // interrupted run loses at most the replicates still in flight.
+    let first_pass: Vec<Result<RunSummary, String>> = run_grid(todo.clone(), |flat| {
+        let (ci, seed) = pairs[flat];
+        let outcome = attempt(ci, seed, 0);
+        if outcome.is_ok() {
+            progress.done(true);
+        }
+        outcome
+    });
+
+    // Bounded sequential retries, flat order.
+    let mut failures: Vec<CellFailure> = Vec::new();
+    for (flat, outcome) in todo.into_iter().zip(first_pass) {
+        let (ci, seed) = pairs[flat];
+        let first_message = match outcome {
+            Ok(summary) => {
+                results[flat] = Some(summary);
+                continue;
+            }
+            Err(message) => message,
+        };
+        let mut attempts = 1usize;
+        let mut last_message = first_message.clone();
+        while results[flat].is_none() && attempts <= policy.max_retries {
+            policy.backoff_sleep(attempts);
+            telemetry::metrics::HARNESS_RETRIES.add(1);
+            progress.retried();
+            attempts += 1;
+            match attempt(ci, seed, (attempts - 1) as u32) {
+                Ok(summary) => results[flat] = Some(summary),
+                Err(message) => last_message = message,
+            }
+        }
+        let recovered = results[flat].is_some();
+        progress.done(recovered);
+        failures.push(CellFailure {
+            index: flat,
+            label: format!("{} seed {}", plan.cells[ci].label, seed),
+            // Recovered replicates report what first went wrong; lost ones
+            // report the final attempt's panic.
+            message: if recovered {
+                first_message
+            } else {
+                last_message
+            },
+            recovered,
+            attempts,
+        });
+    }
+    progress.finish();
+
+    // Fold per cell over the surviving replicates.
+    let mut flat_iter = results.into_iter();
+    let cells = plan
+        .cells
+        .iter()
+        .map(|_| {
+            let mut kept_seeds = Vec::new();
+            let mut per_seed = Vec::new();
+            for &seed in seeds {
+                if let Some(summary) = flat_iter.next().expect("flat grid is cells × seeds") {
+                    kept_seeds.push(seed);
+                    per_seed.push(summary);
+                }
+            }
+            (!per_seed.is_empty()).then(|| CellStats::from_summaries(kept_seeds, per_seed))
+        })
+        .collect();
+    ReplicatedOutcome { cells, failures }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The quick LR workload compared under `mechanisms`, system seed 5.
+    fn quick_plan(mechanisms: &[MechanismChoice], run_seeds: Vec<u64>, rounds: usize) -> Plan {
+        Plan::comparison(
+            FlSystemConfig::mnist_lr_quick(),
+            mechanisms,
+            SeedPlan::fixed_system(5, run_seeds),
+            rounds,
+            1,
+            None,
+        )
+    }
+
+    /// `execute` with the default policy and no cache.
+    fn run_plain(plan: &Plan) -> ReplicatedOutcome {
+        execute(plan, &RunPolicy::default(), &NoCache)
+    }
+
+    /// The canonical (first-seed) summary of every cell.
+    fn firsts(outcome: &ReplicatedOutcome) -> Vec<&RunSummary> {
+        outcome
+            .cells
+            .iter()
+            .map(|c| c.as_ref().expect("cell survived").first())
+            .collect()
+    }
+
+    /// One replicate run by hand, outside the executor.
+    fn run_by_hand(
+        system: &FlSystem,
+        choice: MechanismChoice,
+        rounds: usize,
+        seed: u64,
+    ) -> RunSummary {
+        let mech = choice.build(rounds, 1, None);
+        RunSummary::from_trace(mech.run(system, &mut Rng64::seed_from(seed)))
+    }
+
+    fn assert_same_trace(a: &RunSummary, b: &RunSummary) {
+        assert_eq!(a.trace.len(), b.trace.len());
+        for (x, y) in a.trace.points().iter().zip(b.trace.points()) {
+            assert_eq!(x.loss.to_bits(), y.loss.to_bits());
+            assert_eq!(x.accuracy.to_bits(), y.accuracy.to_bits());
+            assert_eq!(x.time.to_bits(), y.time.to_bits());
+            assert_eq!(x.energy.to_bits(), y.energy.to_bits());
+        }
+    }
+
+    /// A plan whose system 1 panics at round 1 (the faults crate's injected
+    /// panic), with `cells` as `(system, mechanism)` pairs.
+    fn plan_with_panicking_system(cells: &[(usize, MechanismChoice)], run_seeds: Vec<u64>) -> Plan {
+        let mut panicking = FlSystemConfig::mnist_lr_quick();
+        panicking.faults.inject_panic_round = Some(1);
+        Plan {
+            systems: vec![FlSystemConfig::mnist_lr_quick(), panicking],
+            cells: cells
+                .iter()
+                .enumerate()
+                .map(|(i, &(system, mechanism))| PlanCell {
+                    label: format!("cell-{i}"),
+                    system,
+                    mechanism,
+                    xi: None,
+                })
+                .collect(),
+            seeds: SeedPlan::fixed_system(5, run_seeds),
+            total_rounds: 3,
+            eval_every: 1,
+            max_virtual_time: None,
+        }
+    }
 
     #[test]
     fn mechanism_choice_builds_every_variant() {
@@ -1041,16 +850,16 @@ mod tests {
 
     #[test]
     fn compare_runs_all_requested_mechanisms_on_one_system() {
-        let cfg = FlSystemConfig::mnist_lr_quick();
-        let summaries = compare_mechanisms(
-            &cfg,
+        let plan = Plan::comparison(
+            FlSystemConfig::mnist_lr_quick(),
             &[MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa],
+            SeedPlan::fixed_system(11, vec![12]),
             15,
             5,
             None,
-            11,
-            12,
         );
+        let outcome = run_plain(&plan);
+        let summaries = firsts(&outcome);
         assert_eq!(summaries.len(), 2);
         assert_eq!(summaries[0].mechanism, "Air-FedAvg");
         assert_eq!(summaries[1].mechanism, "Air-FedGA");
@@ -1080,22 +889,19 @@ mod tests {
 
     #[test]
     fn nested_grids_compose() {
-        // Outer grid over system seeds, inner grid (compare_on_system) over
-        // mechanisms — the two-level shape of the scalability sweep.
-        let cfg = FlSystemConfig::mnist_lr_quick();
+        // Outer grid over system seeds, inner `execute` over mechanisms —
+        // an executor nested inside a pool fan-out.
         let run_cell = |system_seed: u64| -> Vec<u64> {
-            let system = cfg.build(&mut Rng64::seed_from(system_seed));
-            compare_on_system(
-                &system,
+            let mut plan = quick_plan(
                 &[MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa],
+                vec![9],
                 5,
-                5,
-                None,
-                9,
-            )
-            .into_iter()
-            .map(|s| s.final_loss.to_bits())
-            .collect()
+            );
+            plan.seeds.system_seed = system_seed;
+            firsts(&run_plain(&plan))
+                .into_iter()
+                .map(|s| s.final_loss.to_bits())
+                .collect()
         };
         let grid = run_grid(vec![1, 2, 3], run_cell);
         let seq: Vec<_> = vec![1, 2, 3].into_iter().map(run_cell).collect();
@@ -1104,35 +910,19 @@ mod tests {
 
     #[test]
     fn run_replicated_single_seed_is_the_plain_run() {
+        let mechanisms = [MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa];
+        let outcome = run_plain(&quick_plan(&mechanisms, vec![4242], 8));
         let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(5));
-        let cells = compare_on_system_replicated(
-            &system,
-            &[MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa],
-            8,
-            2,
-            None,
-            &[4242],
-        );
-        let plain = compare_on_system(
-            &system,
-            &[MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa],
-            8,
-            2,
-            None,
-            4242,
-        );
-        assert_eq!(cells.len(), plain.len());
-        for (c, p) in cells.iter().zip(plain.iter()) {
-            assert_eq!(c.mechanism, p.mechanism);
-            assert_eq!(c.seeds, vec![4242]);
-            assert_eq!(c.per_seed.len(), 1);
+        for (cell, &choice) in outcome.cells.iter().zip(&mechanisms) {
+            let cell = cell.as_ref().unwrap();
+            let plain = run_by_hand(&system, choice, 8, 4242);
+            assert_eq!(cell.mechanism, plain.mechanism);
+            assert_eq!(cell.seeds, vec![4242]);
+            assert_eq!(cell.per_seed.len(), 1);
             // The single replicate IS the plain run, bit for bit…
-            for (a, b) in c.first().trace.points().iter().zip(p.trace.points()) {
-                assert_eq!(a.loss.to_bits(), b.loss.to_bits());
-                assert_eq!(a.time.to_bits(), b.time.to_bits());
-            }
+            assert_same_trace(cell.first(), &plain);
             // …and the folded statistics degenerate to it (std 0, mean = x).
-            for (ps, tp) in c.points.iter().zip(p.trace.points()) {
+            for (ps, tp) in cell.points.iter().zip(plain.trace.points()) {
                 assert_eq!(ps.loss.mean.to_bits(), tp.loss.to_bits());
                 assert_eq!(ps.loss.std, 0.0);
                 assert_eq!(ps.loss.n, 1);
@@ -1143,31 +933,20 @@ mod tests {
 
     #[test]
     fn run_replicated_matches_the_sequential_double_loop() {
-        let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(5));
         let seeds = [4242u64, 4243, 4244];
-        let run_one = |choice: MechanismChoice, seed: u64| {
-            let mech = choice.build(6, 2, None);
-            RunSummary::from_trace(mech.run(&system, &mut Rng64::seed_from(seed)))
-        };
         let mechanisms = [MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa];
-        let cells = run_replicated(mechanisms.to_vec(), &seeds, |&m, s| run_one(m, s));
-        assert_eq!(cells.len(), 2);
-        for (ci, cell) in cells.iter().enumerate() {
+        let outcome = run_plain(&quick_plan(&mechanisms, seeds.to_vec(), 6));
+        let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(5));
+        assert_eq!(outcome.cells.len(), 2);
+        for (ci, cell) in outcome.cells.iter().enumerate() {
+            let cell = cell.as_ref().unwrap();
             assert_eq!(cell.seeds, seeds);
             assert_eq!(cell.per_seed.len(), 3);
-            for (ri, s) in seeds.iter().enumerate() {
-                let reference = run_one(mechanisms[ci], *s);
-                for (a, b) in cell.per_seed[ri]
-                    .trace
-                    .points()
-                    .iter()
-                    .zip(reference.trace.points())
-                {
-                    assert_eq!(a.loss.to_bits(), b.loss.to_bits());
-                    assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
-                    assert_eq!(a.time.to_bits(), b.time.to_bits());
-                    assert_eq!(a.energy.to_bits(), b.energy.to_bits());
-                }
+            for (ri, &s) in seeds.iter().enumerate() {
+                assert_same_trace(
+                    &cell.per_seed[ri],
+                    &run_by_hand(&system, mechanisms[ci], 6, s),
+                );
             }
             // Folded stats cover all three seeds at every shared point.
             assert!(cell.points.iter().all(|p| p.loss.n == 3));
@@ -1193,76 +972,77 @@ mod tests {
         assert_eq!(varying.replicate_of(4243), 1);
     }
 
+    /// A fixed-system plan shares one system built from the plan's system
+    /// seed, and cells on different system configs each get their own.
     #[test]
     fn fixed_system_plan_matches_the_historical_path() {
-        let cfg = FlSystemConfig::mnist_lr_quick();
-        let plan = SeedPlan::fixed_system(5, vec![4242, 4243]);
-        let via_plan =
-            compare_mechanisms_replicated(&cfg, &[MechanismChoice::AirFedGa], 6, 2, None, &plan);
-        let system = cfg.build(&mut Rng64::seed_from(5));
-        let direct = compare_on_system_replicated(
-            &system,
-            &[MechanismChoice::AirFedGa],
-            6,
-            2,
-            None,
-            &[4242, 4243],
-        );
-        for (a, b) in via_plan.iter().zip(direct.iter()) {
-            assert_eq!(a.mechanism, b.mechanism);
-            for (pa, pb) in a.per_seed.iter().zip(b.per_seed.iter()) {
-                for (x, y) in pa.trace.points().iter().zip(pb.trace.points()) {
-                    assert_eq!(x.loss.to_bits(), y.loss.to_bits());
-                    assert_eq!(x.time.to_bits(), y.time.to_bits());
-                }
+        let mut wide = FlSystemConfig::mnist_lr_quick();
+        wide.num_workers = 12;
+        let plan = Plan {
+            systems: vec![FlSystemConfig::mnist_lr_quick(), wide.clone()],
+            cells: vec![
+                PlanCell {
+                    label: "narrow".to_string(),
+                    system: 0,
+                    mechanism: MechanismChoice::AirFedGa,
+                    xi: None,
+                },
+                PlanCell {
+                    label: "wide".to_string(),
+                    system: 1,
+                    mechanism: MechanismChoice::AirFedGa,
+                    xi: None,
+                },
+            ],
+            seeds: SeedPlan::fixed_system(5, vec![4242, 4243]),
+            total_rounds: 6,
+            eval_every: 1,
+            max_virtual_time: None,
+        };
+        let outcome = run_plain(&plan);
+        let narrow = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(5));
+        let wide = wide.build(&mut Rng64::seed_from(5));
+        for (cell, system) in outcome.cells.iter().zip([&narrow, &wide]) {
+            let cell = cell.as_ref().unwrap();
+            for (summary, &seed) in cell.per_seed.iter().zip(&cell.seeds) {
+                let direct = run_by_hand(system, MechanismChoice::AirFedGa, 6, seed);
+                assert_same_trace(summary, &direct);
             }
         }
     }
 
     #[test]
     fn varying_system_plan_changes_later_replicates_only() {
-        let cfg = FlSystemConfig::mnist_lr_quick();
-        let fixed = compare_mechanisms_replicated(
-            &cfg,
+        let fixed = run_plain(&quick_plan(
             &[MechanismChoice::AirFedGa],
+            vec![4242, 4243],
             6,
-            2,
-            None,
-            &SeedPlan::fixed_system(5, vec![4242, 4243]),
-        );
-        let varying = compare_mechanisms_replicated(
-            &cfg,
-            &[MechanismChoice::AirFedGa],
-            6,
-            2,
-            None,
-            &SeedPlan {
-                system_seed: 5,
-                run_seeds: vec![4242, 4243],
-                vary_system: true,
-            },
+        ));
+        let mut plan = quick_plan(&[MechanismChoice::AirFedGa], vec![4242, 4243], 6);
+        plan.seeds.vary_system = true;
+        let varying = run_plain(&plan);
+        let (fixed, varying) = (
+            fixed.cells[0].as_ref().unwrap(),
+            varying.cells[0].as_ref().unwrap(),
         );
         // Replicate 0 builds its system from the same seed either way: the
         // canonical run is untouched.
-        for (x, y) in fixed[0]
-            .first()
-            .trace
-            .points()
-            .iter()
-            .zip(varying[0].first().trace.points())
-        {
-            assert_eq!(x.loss.to_bits(), y.loss.to_bits());
-            assert_eq!(x.time.to_bits(), y.time.to_bits());
-        }
+        assert_same_trace(fixed.first(), varying.first());
         // Replicate 1 sees a different system (seed 6), so its trace differs
         // from the fixed-system replicate 1 somewhere.
-        let differs = fixed[0].per_seed[1]
+        let differs = fixed.per_seed[1]
             .trace
             .points()
             .iter()
-            .zip(varying[0].per_seed[1].trace.points())
+            .zip(varying.per_seed[1].trace.points())
             .any(|(x, y)| x.loss.to_bits() != y.loss.to_bits());
         assert!(differs, "vary_system did not reach the system build");
+        // Each varying replicate is the run on its own freshly built system.
+        let system6 = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(6));
+        assert_same_trace(
+            &varying.per_seed[1],
+            &run_by_hand(&system6, MechanismChoice::AirFedGa, 6, 4243),
+        );
     }
 
     #[test]
@@ -1276,85 +1056,82 @@ mod tests {
         });
     }
 
-    #[test]
-    #[should_panic(expected = "replicate (cell 1, seed 4243) panicked")]
-    fn replicated_panics_carry_cell_and_seed() {
-        let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(5));
-        run_replicated(
-            vec![MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa],
-            &[4242, 4243],
-            |&choice, seed| {
-                if choice == MechanismChoice::AirFedGa && seed == 4243 {
-                    panic!("injected failure");
-                }
-                let mech = choice.build(3, 1, None);
-                RunSummary::from_trace(mech.run(&system, &mut Rng64::seed_from(seed)))
-            },
-        );
-    }
-
+    /// A cell on a system with an injected panic loses its replicate after
+    /// one retry; its neighbours keep their results.
     #[test]
     fn isolated_grid_survives_a_panicking_cell() {
-        let outcome = run_grid_isolated(
-            vec![10usize, 20, 30],
-            |i, &cell| format!("cell-{i}-value-{cell}"),
-            |&cell| {
-                if cell == 20 {
-                    panic!("cell 20 always dies");
-                }
-                cell * 2
-            },
+        let plan = plan_with_panicking_system(
+            &[
+                (0, MechanismChoice::AirFedAvg),
+                (1, MechanismChoice::AirFedGa),
+                (0, MechanismChoice::AirFedGa),
+            ],
+            vec![4242],
         );
-        assert_eq!(outcome.results, vec![Some(20), None, Some(60)]);
+        let outcome = run_plain(&plan);
+        let survived: Vec<bool> = outcome.cells.iter().map(Option::is_some).collect();
+        assert_eq!(survived, vec![true, false, true]);
         assert!(!outcome.is_complete());
         assert_eq!(outcome.failures.len(), 1);
         let f = &outcome.failures[0];
         assert_eq!(f.index, 1);
-        assert_eq!(f.label, "cell-1-value-20");
-        assert_eq!(f.message, "cell 20 always dies");
+        assert_eq!(f.label, "cell-1 seed 4242");
+        assert_eq!(f.message, "injected fault: panic at round 1");
         assert!(!f.recovered);
+        assert_eq!(f.attempts, 2);
         let report = outcome.failure_report();
-        assert!(report.contains("1 of 3 grid cells panicked"));
+        assert!(report.starts_with("1 replicate(s) panicked:"), "{report}");
         assert!(report.contains("FAILED after one retry"));
     }
 
     #[test]
     fn isolated_grid_retries_flaky_cells_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let attempts = AtomicUsize::new(0);
-        let outcome = run_grid_isolated(
-            vec![1usize, 2],
-            |i, _| format!("cell {i}"),
-            |&cell| {
-                if cell == 2 && attempts.fetch_add(1, Ordering::SeqCst) == 0 {
+        let plan = quick_plan(
+            &[MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa],
+            vec![4242],
+            3,
+        );
+        let outcome = execute_with(
+            &plan,
+            &RunPolicy::default(),
+            &NoCache,
+            |cell, system, seed| {
+                if cell.mechanism == MechanismChoice::AirFedGa
+                    && attempts.fetch_add(1, Ordering::SeqCst) == 0
+                {
                     panic!("transient");
                 }
-                cell
+                run_by_hand(system, cell.mechanism, 3, seed)
             },
         );
-        assert_eq!(outcome.results, vec![Some(1), Some(2)]);
+        assert!(outcome.cells.iter().all(Option::is_some));
         assert!(
             outcome.is_complete(),
             "retry should have recovered the cell"
         );
         assert_eq!(outcome.failures.len(), 1);
         assert!(outcome.failures[0].recovered);
+        assert_eq!(outcome.failures[0].message, "transient");
         assert!(outcome.failure_report().contains("recovered on retry"));
     }
 
     #[test]
     fn isolated_replication_drops_dead_replicates_from_the_stats() {
-        let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(5));
-        let outcome = run_replicated_isolated(
-            vec![MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa],
-            &[4242, 4243],
-            |_, choice| choice.label().to_string(),
-            |&choice, seed| {
-                if choice == MechanismChoice::AirFedGa && seed == 4243 {
+        let plan = quick_plan(
+            &[MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa],
+            vec![4242, 4243],
+            3,
+        );
+        let outcome = execute_with(
+            &plan,
+            &RunPolicy::default(),
+            &NoCache,
+            |cell, system, seed| {
+                if cell.mechanism == MechanismChoice::AirFedGa && seed == 4243 {
                     panic!("injected failure");
                 }
-                let mech = choice.build(3, 1, None);
-                RunSummary::from_trace(mech.run(&system, &mut Rng64::seed_from(seed)))
+                run_by_hand(system, cell.mechanism, 3, seed)
             },
         );
         assert_eq!(outcome.cells.len(), 2);
@@ -1370,23 +1147,39 @@ mod tests {
 
     #[test]
     fn summaries_report_robustness_metrics() {
-        let mut cfg = FlSystemConfig::mnist_lr_quick();
-        let clean = compare_mechanisms(&cfg, &[MechanismChoice::AirFedGa], 10, 2, None, 3, 4);
-        assert_eq!(clean[0].participation_rate, 1.0);
-        assert_eq!(clean[0].rounds_survived, clean[0].trace.total_rounds());
-        cfg.faults.dropout_rate = 0.003;
-        cfg.faults.mean_downtime = 50.0;
-        let churn = compare_mechanisms(&cfg, &[MechanismChoice::AirFedGa], 10, 2, None, 3, 4);
-        assert!(churn[0].participation_rate <= 1.0);
-        assert!(churn[0].rounds_survived <= 10);
-        assert!(churn[0].rounds_survived > 0);
+        let mut plan = Plan::comparison(
+            FlSystemConfig::mnist_lr_quick(),
+            &[MechanismChoice::AirFedGa],
+            SeedPlan::fixed_system(3, vec![4]),
+            10,
+            2,
+            None,
+        );
+        let clean = run_plain(&plan);
+        let clean = firsts(&clean)[0];
+        assert_eq!(clean.participation_rate, 1.0);
+        assert_eq!(clean.rounds_survived, clean.trace.total_rounds());
+        plan.systems[0].faults.dropout_rate = 0.003;
+        plan.systems[0].faults.mean_downtime = 50.0;
+        let churn = run_plain(&plan);
+        let churn = firsts(&churn)[0];
+        assert!(churn.participation_rate <= 1.0);
+        assert!(churn.rounds_survived <= 10);
+        assert!(churn.rounds_survived > 0);
     }
 
     #[test]
     fn summary_reflects_trace_contents() {
-        let cfg = FlSystemConfig::mnist_lr_quick();
-        let summaries = compare_mechanisms(&cfg, &[MechanismChoice::AirFedGa], 20, 2, None, 3, 4);
-        let s = &summaries[0];
+        let plan = Plan::comparison(
+            FlSystemConfig::mnist_lr_quick(),
+            &[MechanismChoice::AirFedGa],
+            SeedPlan::fixed_system(3, vec![4]),
+            20,
+            2,
+            None,
+        );
+        let outcome = run_plain(&plan);
+        let s = firsts(&outcome)[0];
         assert_eq!(s.final_accuracy, s.trace.final_accuracy());
         assert_eq!(s.total_energy, s.trace.total_energy());
         // A target accuracy of 0 is reached immediately; 1.01 never.
@@ -1396,26 +1189,26 @@ mod tests {
 
     #[test]
     fn zero_retry_policy_fails_fast() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let calls = AtomicUsize::new(0);
         let policy = RunPolicy {
             max_retries: 0,
             ..RunPolicy::default()
         };
-        let outcome = run_grid_isolated_with(
-            vec![1usize, 2],
-            |i, _| format!("cell {i}"),
-            &policy,
-            |&cell| {
-                calls.fetch_add(1, Ordering::SeqCst);
-                if cell == 2 {
-                    panic!("always dies");
-                }
-                cell
-            },
+        let plan = quick_plan(
+            &[MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa],
+            vec![4242],
+            3,
         );
-        assert_eq!(outcome.results, vec![Some(1), None]);
-        // One attempt per cell, no retry for the dead one.
+        let outcome = execute_with(&plan, &policy, &NoCache, |cell, system, seed| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            if cell.mechanism == MechanismChoice::AirFedGa {
+                panic!("always dies");
+            }
+            run_by_hand(system, cell.mechanism, 3, seed)
+        });
+        assert!(outcome.cells[0].is_some());
+        assert!(outcome.cells[1].is_none());
+        // One attempt per replicate, no retry for the dead one.
         assert_eq!(calls.load(Ordering::SeqCst), 2);
         let f = &outcome.failures[0];
         assert_eq!(f.attempts, 1);
@@ -1429,24 +1222,19 @@ mod tests {
 
     #[test]
     fn extra_retries_recover_a_thrice_flaky_cell() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let attempts = AtomicUsize::new(0);
         let policy = RunPolicy {
             max_retries: 3,
             ..RunPolicy::default()
         };
-        let outcome = run_grid_isolated_with(
-            vec![7usize],
-            |i, _| format!("cell {i}"),
-            &policy,
-            |&cell| {
-                if attempts.fetch_add(1, Ordering::SeqCst) < 3 {
-                    panic!("flaky");
-                }
-                cell
-            },
-        );
-        assert_eq!(outcome.results, vec![Some(7)]);
+        let plan = quick_plan(&[MechanismChoice::AirFedGa], vec![4242], 3);
+        let outcome = execute_with(&plan, &policy, &NoCache, |cell, system, seed| {
+            if attempts.fetch_add(1, Ordering::SeqCst) < 3 {
+                panic!("flaky");
+            }
+            run_by_hand(system, cell.mechanism, 3, seed)
+        });
+        assert!(outcome.cells[0].is_some());
         let f = &outcome.failures[0];
         assert!(f.recovered);
         assert_eq!(f.attempts, 4);
@@ -1457,6 +1245,9 @@ mod tests {
         );
     }
 
+    /// A cell on a system with an injected hang is cancelled by the
+    /// watchdog and reported; its neighbour is untouched. The neighbour
+    /// returns a precomputed run so the short timeout only races the hang.
     #[test]
     fn watchdog_timeout_surfaces_as_a_cell_failure() {
         let policy = RunPolicy {
@@ -1464,18 +1255,26 @@ mod tests {
             cell_timeout: Some(0.05),
             ..RunPolicy::default()
         };
-        let outcome = run_grid_isolated_with(
-            vec![0usize, 1],
-            |i, _| format!("cell {i}"),
-            &policy,
-            |&cell| {
-                if cell == 1 {
-                    simcore::cancel::hang_until_cancelled(1);
-                }
-                cell
-            },
+        let mut plan = plan_with_panicking_system(
+            &[
+                (0, MechanismChoice::AirFedGa),
+                (1, MechanismChoice::AirFedGa),
+            ],
+            vec![4242],
         );
-        assert_eq!(outcome.results, vec![Some(0), None]);
+        plan.systems[1].faults.inject_panic_round = None;
+        plan.systems[1].faults.inject_hang_round = Some(1);
+        let system = plan.systems[0].build(&mut Rng64::seed_from(5));
+        let healthy = run_by_hand(&system, MechanismChoice::AirFedGa, 3, 4242);
+        let outcome = execute_with(&plan, &policy, &NoCache, |cell, system, seed| {
+            if cell.system == 1 {
+                run_by_hand(system, cell.mechanism, 3, seed)
+            } else {
+                healthy.clone()
+            }
+        });
+        assert!(outcome.cells[0].is_some());
+        assert!(outcome.cells[1].is_none());
         assert_eq!(outcome.failures.len(), 1);
         assert!(
             outcome.failures[0].message.contains("timed out"),
@@ -1490,7 +1289,6 @@ mod tests {
     #[test]
     fn replicate_cache_hits_skip_recomputation() {
         use std::collections::BTreeMap;
-        use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Mutex;
 
         #[derive(Default)]
@@ -1526,38 +1324,25 @@ mod tests {
             }
         }
 
-        let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(5));
         let calls = AtomicUsize::new(0);
         let cache = MapCache::default();
-        let plan = SeedPlan::fixed_system(42, vec![4242, 4243]);
-        let cells = vec![MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa];
-        let label = |_: usize, choice: &MechanismChoice| choice.label().to_string();
-        let run = |choice: &MechanismChoice, seed: u64| {
+        let mut plan = quick_plan(
+            &[MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa],
+            vec![4242, 4243],
+            3,
+        );
+        plan.seeds.system_seed = 42;
+        let run = |cell: &PlanCell, system: &FlSystem, seed: u64| {
             calls.fetch_add(1, Ordering::SeqCst);
-            let mech = choice.build(3, 1, None);
-            RunSummary::from_trace(mech.run(&system, &mut Rng64::seed_from(seed)))
+            run_by_hand(system, cell.mechanism, 3, seed)
         };
 
-        let cold = run_replicated_isolated_plan(
-            cells.clone(),
-            &plan,
-            label,
-            &RunPolicy::default(),
-            &cache,
-            run,
-        );
+        let cold = execute_with(&plan, &RunPolicy::default(), &cache, run);
         assert_eq!(calls.load(Ordering::SeqCst), 4);
 
         // Warm pass: every replicate is a hit, nothing recomputes, and the
         // folded statistics replay bit-for-bit.
-        let warm = run_replicated_isolated_plan(
-            cells.clone(),
-            &plan,
-            label,
-            &RunPolicy::default(),
-            &cache,
-            run,
-        );
+        let warm = execute_with(&plan, &RunPolicy::default(), &cache, run);
         assert_eq!(calls.load(Ordering::SeqCst), 4);
         for (a, b) in cold.cells.iter().zip(&warm.cells) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
@@ -1575,7 +1360,7 @@ mod tests {
             .unwrap()
             .remove(&(1, "Air-FedGA".to_string(), 4243, 42))
             .expect("evicted key was cached");
-        run_replicated_isolated_plan(cells, &plan, label, &RunPolicy::default(), &cache, run);
+        execute_with(&plan, &RunPolicy::default(), &cache, run);
         assert_eq!(calls.load(Ordering::SeqCst), 5);
     }
 }

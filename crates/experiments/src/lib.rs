@@ -5,12 +5,15 @@
 //! same rows/series the paper reports and (optionally) writing CSV files for
 //! plotting. The shared pieces live here:
 //!
-//! * [`harness`] — building systems, running a set of mechanisms on the same
-//!   system, and collecting time/energy-to-accuracy summaries.
-//! * [`figures`] / [`sweeps`] — the shared figure drivers (time-accuracy
-//!   comparisons, the ξ-sweep and the scalability sweep) parameterised by
-//!   [`figures::FigureParams`]; the `fig*` binaries and the `scenario`
-//!   crate's declarative spec files execute these same code paths.
+//! * [`harness`] — the one executor: every experiment lowers to a
+//!   [`harness::Plan`] of `(cell × seed)` replicates, and
+//!   [`harness::execute`] runs it (shared or per-replicate systems, panic
+//!   isolation, retries, the run-store cache) and folds time/energy-to-
+//!   accuracy summaries per cell.
+//! * [`figures`] / [`sweeps`] — the run parameters
+//!   ([`figures::FigureParams`]) and the reports of the figure shapes
+//!   (time-accuracy comparisons, the ξ-sweep and the scalability sweep);
+//!   the `scenario` crate's spec files render through them.
 //! * [`report`] — plain-text table rendering, CSV output (including the
 //!   error-bar CSVs of replicated runs) and shaded-band gnuplot scripts.
 //! * [`scale`] — the `AIRFEDGA_SCALE` switch (`full` / `quick`) so the same
@@ -25,19 +28,16 @@
 //!
 //! | Binary | Reproduces |
 //! |--------|------------|
-//! | `fig4_cnn_mnist`    | Fig. 4 — loss/accuracy vs time, CNN on MNIST-like |
-//! | `fig5_cnn_cifar`    | Fig. 5 — loss/accuracy vs time, CNN on CIFAR-10-like |
-//! | `fig6_vgg_imagenet` | Fig. 6 — loss/accuracy vs time, VGG-16 surrogate on ImageNet-100-like |
 //! | `fig7_grouping_boxplot` | Fig. 7 — per-group latency ranges at ξ = 0.3 |
-//! | `fig9_energy`       | Fig. 9 — aggregation energy to reach target accuracy |
 //! | `table1_comparison` | Table I — qualitative mechanism comparison, measured proxies |
 //! | `table3_emd`        | Table III — average inter-group EMD per grouping method |
 //! | `theorem1_bound`    | Theorem 1 / Corollaries 1–2 — numeric bound evaluation |
 //!
-//! The `fig3_lr_mnist`, `fig8_xi_sweep` and `fig10_scalability` binaries
-//! moved to the `scenario` crate as thin wrappers over committed scenario
-//! files (`scenarios/fig3.toml`, …) — run them, or any other spec, with
-//! `airfedga-run <scenario.toml>`.
+//! Figs. 3–6 and 8–10 are committed scenario files (`scenarios/fig3.toml`,
+//! …, `scenarios/fig10.toml`): run them, or any other spec, with
+//! `airfedga-run <scenario.toml>`. The `scenario` crate also keeps thin
+//! `fig3_lr_mnist`, `fig8_xi_sweep`, `fig9_energy` and `fig10_scalability`
+//! wrappers over them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -51,7 +51,7 @@ pub mod sweeps;
 pub mod watchdog;
 
 pub use figures::FigureParams;
-pub use harness::{compare_mechanisms, run_replicated, MechanismChoice, RunSummary, SeedPlan};
+pub use harness::{execute, MechanismChoice, Plan, PlanCell, RunSummary, SeedPlan};
 pub use report::{write_csv, Table};
 pub use scale::Scale;
 pub use stats::{replication_seeds, CellStats, SummaryStats, Welford};

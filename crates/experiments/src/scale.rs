@@ -5,7 +5,7 @@
 //! figure on a laptop; CI and the Criterion benches need seconds. The
 //! `AIRFEDGA_SCALE` environment variable switches between the two without
 //! touching the experiment code: `full` (default for the binaries) or
-//! `quick`. The `--seeds N` command-line flag ([`seeds_flag`]) selects how
+//! `quick`. The `--seeds N` command-line flag ([`seeds_flag_opt`]) selects how
 //! many replication seeds the multi-seed figure binaries run, and
 //! `--system-seeds` ([`system_seeds_flag`]) makes each replicate re-sample
 //! the system (shards, profiles, initial model) as well as the run RNG.
@@ -37,13 +37,6 @@ pub fn seeds_flag_opt() -> Option<usize> {
         }
     }
     None
-}
-
-/// [`seeds_flag_opt`] with the historical default: 1 when absent — the
-/// single-seed default whose output is byte-identical to the pre-replication
-/// binaries.
-pub fn seeds_flag() -> usize {
-    seeds_flag_opt().unwrap_or(1)
 }
 
 /// Parse the `--system-seeds` flag from the process arguments. When present,
@@ -131,7 +124,6 @@ mod tests {
         // The test harness is not invoked with experiment flags, so the
         // parsers must report "absent" here.
         assert_eq!(seeds_flag_opt(), None);
-        assert_eq!(seeds_flag(), 1);
         assert!(!system_seeds_flag());
     }
 

@@ -1,47 +1,36 @@
-//! Shared drivers for the parameter-sweep figures: the Fig. 8 ξ-sweep and
-//! the Fig. 10 scalability sweep.
+//! The parameter-sweep figures: the Fig. 8 ξ-sweep and the Fig. 10
+//! scalability sweep.
 //!
-//! Historically these lived inline in the `fig8_xi_sweep` and
-//! `fig10_scalability` binaries; they are extracted here so a declarative
-//! scenario file (the `scenario` crate) and the legacy binaries execute the
-//! **same** code path — a scenario that reproduces a figure is byte-identical
-//! to the binary that always did. Both drivers take the same
-//! [`FigureParams`] bundle as the time-accuracy figures, so `--seeds N`
-//! replication, the `--system-seeds` axis, and scenario-file overrides work
-//! uniformly across every figure shape.
+//! Both kinds lower to an ordinary [`Plan`] — one Air-FedGA cell per ξ on
+//! one system, or one cell per (worker count, mechanism) on one system per
+//! worker count — and run through [`crate::harness::execute`] like every
+//! other experiment. This module holds what is specific to them: the
+//! scale-dependent default axes and the two reports. For the default parameters the output is byte-identical to
+//! the historical `fig8_xi_sweep` and `fig10_scalability` binaries.
 
-use crate::figures::FigureParams;
-use crate::harness::{
-    compare_mechanisms_replicated, run_grid, run_replicated, MechanismChoice, RunSummary,
-};
+use crate::harness::{run_grid, Plan};
 use crate::report::{fmt_opt_secs, fmt_secs, try_write_csv, Table};
 use crate::scale::Scale;
 use crate::stats::CellStats;
 use airfedga::mechanism::{AirFedGa, AirFedGaConfig};
-use airfedga::system::{FlMechanism, FlSystemConfig};
 use fedml::rng::Rng64;
 
-/// Description of one ξ-sweep figure (the Fig. 8 shape): sweep the
-/// grouping-similarity parameter of Air-FedGA and report the training time
-/// to reach each accuracy target.
-#[derive(Debug, Clone)]
-pub struct XiSweepFigure {
-    /// Title prefix; the driver appends ` ({N} workers, {scale:?} scale)`.
-    pub title: String,
-    /// Workload preset (model + dataset), pre-scale.
-    pub workload: FlSystemConfig,
-    /// The ξ values to sweep. `None` selects the historical scale-dependent
-    /// grid: 0.0..=1.0 in steps of 0.1 at full scale, `[0, 0.3, 0.7, 1.0]`
-    /// at quick scale.
-    pub xis: Option<Vec<f64>>,
-    /// Accuracy targets whose time-to-reach is reported.
-    pub targets: Vec<f64>,
-    /// Output CSV file name (e.g. `fig8_xi_sweep.csv`).
-    pub csv_name: String,
-    /// Round budget as a multiple of the scale's default (the historical
-    /// sweep runs 2× so slow ξ extremes still reach the targets). An
-    /// explicit `params.total_rounds` wins over this.
-    pub rounds_factor: usize,
+/// The historical scale-dependent ξ grid of the Fig. 8 sweep: 0.0..=1.0 in
+/// steps of 0.1 at full scale, `[0, 0.3, 0.7, 1.0]` at quick scale.
+pub fn default_xis(scale: Scale) -> Vec<f64> {
+    match scale {
+        Scale::Full => (0..=10).map(|i| i as f64 / 10.0).collect(),
+        Scale::Quick => vec![0.0, 0.3, 0.7, 1.0],
+    }
+}
+
+/// The historical scale-dependent worker-count grid of the Fig. 10 sweep
+/// (20..=100 step 20 full, `[10, 20]` quick).
+pub fn default_worker_counts(scale: Scale) -> Vec<usize> {
+    match scale {
+        Scale::Full => vec![20, 40, 60, 80, 100],
+        Scale::Quick => vec![10, 20],
+    }
 }
 
 /// Format a ξ value for tables and CSVs: one decimal when that is exact
@@ -58,71 +47,42 @@ pub fn fmt_xi(xi: f64) -> String {
     }
 }
 
-impl XiSweepFigure {
-    /// The historical scale-dependent ξ grid.
-    pub fn default_xis(scale: Scale) -> Vec<f64> {
-        match scale {
-            Scale::Full => (0..=10).map(|i| i as f64 / 10.0).collect(),
-            Scale::Quick => vec![0.0, 0.3, 0.7, 1.0],
-        }
-    }
-}
-
-/// Run a ξ-sweep figure: one replicated grid cell per ξ value, fanned across
-/// the persistent pool, printing the time-to-target table and writing the
-/// sweep CSV. Byte-identical to the historical `fig8_xi_sweep` binary for
-/// the default parameters.
-pub fn run_xi_sweep(fig: &XiSweepFigure, params: &FigureParams) {
-    let scale = params.scale;
-    let plan = params.plan();
-    let seeds = plan.run_seeds.clone();
-    let cfg = params.apply(fig.workload.clone());
-    let system = cfg.build(&mut Rng64::seed_from(plan.system_seed));
-    let xis = fig
-        .xis
-        .clone()
-        .unwrap_or_else(|| XiSweepFigure::default_xis(scale));
-    let total_rounds = params
-        .total_rounds
-        .unwrap_or_else(|| scale.total_rounds() * fig.rounds_factor);
-    let eval_every = params.eval();
-    let mech_for = |xi: f64| {
+/// Print and write the report of a ξ-sweep (the Fig. 8 shape): the number
+/// of Algorithm 3 groups per ξ and the training time to reach each of
+/// `targets`. `plan` has one Air-FedGA cell per ξ on one system; the group
+/// counts are computed on that system built from the plan's system seed
+/// (under `--system-seeds`, the replicate-0 system).
+pub fn report_xi_sweep(
+    title: &str,
+    targets: &[f64],
+    csv_name: &str,
+    scale: Scale,
+    plan: &Plan,
+    cells: &[Option<CellStats>],
+) {
+    let seeds = &plan.seeds.run_seeds;
+    let system = plan.systems[0].build(&mut Rng64::seed_from(plan.seeds.system_seed));
+    let xis: Vec<f64> = plan
+        .cells
+        .iter()
+        .map(|c| c.xi.expect("xi-sweep cells carry a xi"))
+        .collect();
+    // Group counts are seed-independent: Algorithm 3 is deterministic given
+    // the system.
+    let groups: Vec<usize> = run_grid(xis.clone(), |xi| {
         AirFedGa::new(AirFedGaConfig {
             xi,
-            total_rounds,
-            eval_every,
-            max_virtual_time: params.max_virtual_time,
             ..AirFedGaConfig::default()
         })
-    };
-
+        .grouping_for(&system)
+        .num_groups()
+    });
     println!(
-        "{} ({} workers, {:?} scale)\n",
-        fig.title,
-        system.num_workers(),
-        scale
+        "{title} ({} workers, {scale:?} scale)\n",
+        system.num_workers()
     );
-    // Group counts are seed-independent (Algorithm 3 is deterministic given
-    // the system), so they are computed once per ξ outside the replication;
-    // under `--system-seeds` they describe the replicate-0 system.
-    let groups: Vec<usize> = run_grid(xis.clone(), |xi| {
-        mech_for(xi).grouping_for(&system).num_groups()
-    });
-    // One replicated cell per ξ; each (ξ, seed) replicate re-seeds its own
-    // run RNG (and, under `--system-seeds`, builds its own system), so the
-    // fanned sweep is bit-identical to the sequential double loop at any
-    // thread count / chunk factor.
-    let sweep = run_replicated(xis.clone(), &seeds, |&xi, seed| {
-        if plan.vary_system {
-            let sys = cfg.build(&mut Rng64::seed_from(plan.system_seed_for(seed)));
-            RunSummary::from_trace(mech_for(xi).run(&sys, &mut Rng64::seed_from(seed)))
-        } else {
-            RunSummary::from_trace(mech_for(xi).run(&system, &mut Rng64::seed_from(seed)))
-        }
-    });
-
     let mut header: Vec<String> = vec!["xi".to_string(), "groups".to_string()];
-    for t in &fig.targets {
+    for t in targets {
         header.push(format!("t@{:.0}%", t * 100.0));
     }
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
@@ -132,13 +92,14 @@ pub fn run_xi_sweep(fig: &XiSweepFigure, params: &FigureParams) {
             &header_refs,
         );
         let mut csv = String::from("xi,groups");
-        for t in &fig.targets {
+        for t in targets {
             csv.push_str(&format!(",t{:.0}", t * 100.0));
         }
         csv.push('\n');
-        for ((xi, num_groups), cell) in xis.iter().zip(&groups).zip(&sweep) {
-            let times: Vec<Option<f64>> = fig
-                .targets
+        for ((xi, num_groups), cell) in xis.iter().zip(&groups).zip(cells) {
+            // A ξ whose replicates were all lost has no row.
+            let Some(cell) = cell else { continue };
+            let times: Vec<Option<f64>> = targets
                 .iter()
                 .map(|&t| cell.first().time_to_accuracy(t))
                 .collect();
@@ -153,7 +114,7 @@ pub fn run_xi_sweep(fig: &XiSweepFigure, params: &FigureParams) {
             csv.push('\n');
         }
         println!("{}", table.render());
-        try_write_csv(&fig.csv_name, &csv);
+        try_write_csv(csv_name, &csv);
     } else {
         println!(
             "  replicated over {} seeds ({}..{}); cells are mean±std [reached/total]\n",
@@ -161,11 +122,11 @@ pub fn run_xi_sweep(fig: &XiSweepFigure, params: &FigureParams) {
             seeds[0],
             seeds[seeds.len() - 1]
         );
-        if plan.vary_system {
+        if plan.seeds.vary_system {
             println!(
                 "  system re-sampled per replicate (system seeds {}..{})\n",
-                plan.system_seed,
-                plan.system_seed + (seeds.len() as u64 - 1)
+                plan.seeds.system_seed,
+                plan.seeds.system_seed + (seeds.len() as u64 - 1)
             );
         }
         let mut table = Table::new(
@@ -173,14 +134,14 @@ pub fn run_xi_sweep(fig: &XiSweepFigure, params: &FigureParams) {
             &header_refs,
         );
         let mut csv = String::from("xi,groups");
-        for t in &fig.targets {
+        for t in targets {
             let pct = t * 100.0;
             csv.push_str(&format!(",t{pct:.0}_mean,t{pct:.0}_std,t{pct:.0}_n"));
         }
         csv.push('\n');
-        for ((xi, num_groups), cell) in xis.iter().zip(&groups).zip(&sweep) {
-            let stats: Vec<_> = fig
-                .targets
+        for ((xi, num_groups), cell) in xis.iter().zip(&groups).zip(cells) {
+            let Some(cell) = cell else { continue };
+            let stats: Vec<_> = targets
                 .iter()
                 .map(|&t| cell.time_to_accuracy_stats(t))
                 .collect();
@@ -195,74 +156,42 @@ pub fn run_xi_sweep(fig: &XiSweepFigure, params: &FigureParams) {
             csv.push('\n');
         }
         println!("{}", table.render());
-        try_write_csv(&fig.csv_name, &csv);
+        try_write_csv(csv_name, &csv);
     }
 }
 
-/// Description of one scalability figure (the Fig. 10 shape): sweep the
-/// worker count and report single-round and total time per mechanism.
-#[derive(Debug, Clone)]
-pub struct ScalabilityFigure {
-    /// Title prefix; the driver renders `"{title} (left): …"` and
-    /// `"{title} (right): …"` table headings from it.
-    pub title: String,
-    /// Workload preset (model + dataset), pre-scale.
-    pub workload: FlSystemConfig,
-    /// The worker counts to sweep. `None` selects the historical
-    /// scale-dependent grid (20..=100 step 20 full, `[10, 20]` quick).
-    pub worker_counts: Option<Vec<usize>>,
-    /// Samples added per worker (the sweep keeps per-worker shard size
-    /// constant, so adding workers adds data).
-    pub per_worker_samples: usize,
-    /// The accuracy target of the total-time panel.
-    pub target: f64,
-    /// Mechanisms compared (table columns, in this order).
-    pub mechanisms: Vec<MechanismChoice>,
-    /// Output CSV file name (e.g. `fig10_scalability.csv`).
-    pub csv_name: String,
-}
-
-impl ScalabilityFigure {
-    /// The historical scale-dependent worker-count grid.
-    pub fn default_worker_counts(scale: Scale) -> Vec<usize> {
-        match scale {
-            Scale::Full => vec![20, 40, 60, 80, 100],
-            Scale::Quick => vec![10, 20],
-        }
-    }
-}
-
-/// Run a scalability figure: a two-level grid (worker counts outer, the
-/// replicated mechanism comparison inner), printing the per-`N` round-time
-/// and total-time tables and writing the sweep CSV. Byte-identical to the
-/// historical `fig10_scalability` binary for the default parameters.
-pub fn run_scalability(fig: &ScalabilityFigure, params: &FigureParams) {
-    let scale = params.scale;
-    let plan = params.plan();
-    let seeds = plan.run_seeds.clone();
-    let worker_counts = fig
-        .worker_counts
-        .clone()
-        .unwrap_or_else(|| ScalabilityFigure::default_worker_counts(scale));
-    let target = fig.target;
+/// Print and write the report of a scalability sweep (the Fig. 10 shape):
+/// per worker count, the average single-round time and the total time to
+/// `target` accuracy of each mechanism. `plan` has one system per worker
+/// count and, on each, one cell per mechanism in column order.
+pub fn report_scalability(
+    title: &str,
+    target: f64,
+    csv_name: &str,
+    plan: &Plan,
+    cells: &[Option<CellStats>],
+) {
+    let seeds = &plan.seeds.run_seeds;
     let replicated = seeds.len() > 1;
-    let total_rounds = params.rounds();
-    let eval_every = params.eval();
-
-    let order: Vec<&'static str> = fig.mechanisms.iter().map(|m| m.label()).collect();
+    let order: Vec<&'static str> = plan
+        .cells
+        .iter()
+        .filter(|c| c.system == 0)
+        .map(|c| c.mechanism.label())
+        .collect();
     let mut header: Vec<&str> = vec!["N"];
     header.extend(order.iter().copied());
     let mut round_table = Table::new(
         &format!(
             "{} (left): average single-round time (s) vs number of workers",
-            fig.title
+            title
         ),
         &header,
     );
     let mut total_table = Table::new(
         &format!(
             "{} (right): total time (s) to stable {:.0}% accuracy vs number of workers",
-            fig.title,
+            title,
             target * 100.0
         ),
         &header,
@@ -277,34 +206,19 @@ pub fn run_scalability(fig: &ScalabilityFigure, params: &FigureParams) {
         format!("n,mechanism,avg_round_s,time_to_{:.0}_s\n", target * 100.0)
     };
 
-    // Two-level grid: the outer cells are the worker counts, and each cell
-    // fans its (mechanism × seed) replicates through the pool again — nested
-    // fan-out the pool resolves without deadlock, with over-decomposition
-    // keeping threads busy across the very uneven per-mechanism costs. Every
-    // replicate derives its RNG streams from its own (system_seed, run_seed),
-    // so this is bit-identical to the sequential triple loop it replaced.
-    let per_n: Vec<(usize, Vec<CellStats>)> = run_grid(worker_counts, |n| {
-        let mut cfg = scale.apply(fig.workload.clone());
-        cfg.num_workers = n;
-        // Keep the per-worker shard size constant across the sweep, as in a
-        // scalability experiment where adding workers adds data: this
-        // isolates how the *mechanisms* scale with N rather than how
-        // shrinking shards speed up local training.
-        cfg.dataset.samples_per_class = fig.per_worker_samples * n / cfg.dataset.num_classes.max(1);
-        let cells = compare_mechanisms_replicated(
-            &cfg,
-            &fig.mechanisms,
-            total_rounds,
-            eval_every,
-            params.max_virtual_time,
-            &plan,
-        );
-        (n, cells)
-    });
-    for (n, cells) in per_n {
+    for (si, system) in plan.systems.iter().enumerate() {
+        let n = system.num_workers;
+        let cells: Vec<&CellStats> = plan
+            .cells
+            .iter()
+            .zip(cells)
+            .filter(|(cell, _)| cell.system == si)
+            .filter_map(|(_, stats)| stats.as_ref())
+            .collect();
         let cell = |label: &str, f: &dyn Fn(&CellStats) -> String| {
             cells
                 .iter()
+                .copied()
                 .find(|c| c.mechanism == label)
                 .map(f)
                 .unwrap_or_else(|| "n/a".to_string())
@@ -329,7 +243,7 @@ pub fn run_scalability(fig: &ScalabilityFigure, params: &FigureParams) {
         }
         round_table.add_row(round_row);
         total_table.add_row(total_row);
-        for c in &cells {
+        for c in cells {
             if replicated {
                 let round = c.average_round_time_stats();
                 let tta = c.time_to_accuracy_stats(target);
@@ -358,50 +272,24 @@ pub fn run_scalability(fig: &ScalabilityFigure, params: &FigureParams) {
     println!();
     println!("{}", round_table.render());
     println!("{}", total_table.render());
-    try_write_csv(&fig.csv_name, &csv);
-}
-
-/// A general mechanism constructor for sweep cells: the named mechanism at
-/// the given round budget, with an optional ξ override applied to Air-FedGA
-/// (the other mechanisms have no ξ; the override is ignored for them).
-pub fn build_sweep_mechanism(
-    choice: MechanismChoice,
-    xi: Option<f64>,
-    total_rounds: usize,
-    eval_every: usize,
-    max_virtual_time: Option<f64>,
-) -> Box<dyn FlMechanism> {
-    match (choice, xi) {
-        (MechanismChoice::AirFedGa, Some(xi)) => Box::new(AirFedGa::new(AirFedGaConfig {
-            xi,
-            total_rounds,
-            eval_every,
-            max_virtual_time,
-            ..AirFedGaConfig::default()
-        })),
-        (choice, _) => choice.build(total_rounds, eval_every, max_virtual_time),
-    }
+    try_write_csv(csv_name, &csv);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{execute, MechanismChoice, NoCache, PlanCell, RunPolicy, SeedPlan};
+    use airfedga::system::FlSystemConfig;
 
     #[test]
     fn default_grids_match_the_historical_binaries() {
+        assert_eq!(default_xis(Scale::Quick), vec![0.0, 0.3, 0.7, 1.0]);
+        assert_eq!(default_xis(Scale::Full).len(), 11);
         assert_eq!(
-            XiSweepFigure::default_xis(Scale::Quick),
-            vec![0.0, 0.3, 0.7, 1.0]
-        );
-        assert_eq!(XiSweepFigure::default_xis(Scale::Full).len(), 11);
-        assert_eq!(
-            ScalabilityFigure::default_worker_counts(Scale::Full),
+            default_worker_counts(Scale::Full),
             vec![20, 40, 60, 80, 100]
         );
-        assert_eq!(
-            ScalabilityFigure::default_worker_counts(Scale::Quick),
-            vec![10, 20]
-        );
+        assert_eq!(default_worker_counts(Scale::Quick), vec![10, 20]);
     }
 
     #[test]
@@ -419,31 +307,55 @@ mod tests {
 
     #[test]
     fn sweep_mechanism_builder_applies_xi_to_airfedga_only() {
-        let ga = build_sweep_mechanism(MechanismChoice::AirFedGa, Some(0.7), 10, 2, None);
-        assert_eq!(ga.name(), "Air-FedGA");
-        let avg = build_sweep_mechanism(MechanismChoice::FedAvg, Some(0.7), 10, 2, None);
-        assert_eq!(avg.name(), "FedAvg");
-        let plain = build_sweep_mechanism(MechanismChoice::AirFedGa, None, 10, 2, None);
-        assert_eq!(plain.name(), "Air-FedGA");
+        let plan = Plan::comparison(
+            FlSystemConfig::mnist_lr_quick(),
+            &[],
+            SeedPlan::fixed_system(42, vec![4242]),
+            10,
+            2,
+            None,
+        );
+        let name = |mechanism, xi| {
+            let cell = PlanCell {
+                label: String::new(),
+                system: 0,
+                mechanism,
+                xi,
+            };
+            plan.mechanism(&cell).name().to_string()
+        };
+        assert_eq!(name(MechanismChoice::AirFedGa, Some(0.7)), "Air-FedGA");
+        assert_eq!(name(MechanismChoice::FedAvg, Some(0.7)), "FedAvg");
+        assert_eq!(name(MechanismChoice::AirFedGa, None), "Air-FedGA");
     }
 
     #[test]
     fn xi_sweep_runs_at_test_scale() {
-        run_xi_sweep(
-            &XiSweepFigure {
-                title: "test xi sweep".to_string(),
-                workload: FlSystemConfig::mnist_lr_quick(),
-                xis: Some(vec![0.3, 1.0]),
-                targets: vec![0.5],
-                csv_name: "test_xi_sweep.csv".to_string(),
-                rounds_factor: 1,
-            },
-            &FigureParams {
-                scale: Scale::Quick,
-                total_rounds: Some(6),
-                eval_every: Some(2),
-                ..FigureParams::default()
-            },
+        let plan = Plan {
+            systems: vec![Scale::Quick.apply(FlSystemConfig::mnist_lr_quick())],
+            cells: [0.3, 1.0]
+                .iter()
+                .map(|&xi| PlanCell {
+                    label: format!("xi={}", fmt_xi(xi)),
+                    system: 0,
+                    mechanism: MechanismChoice::AirFedGa,
+                    xi: Some(xi),
+                })
+                .collect(),
+            seeds: SeedPlan::fixed_system(42, vec![4242]),
+            total_rounds: 6,
+            eval_every: 2,
+            max_virtual_time: None,
+        };
+        let outcome = execute(&plan, &RunPolicy::default(), &NoCache);
+        assert!(outcome.is_complete());
+        report_xi_sweep(
+            "test xi sweep",
+            &[0.5],
+            "test_xi_sweep.csv",
+            Scale::Quick,
+            &plan,
+            &outcome.cells,
         );
     }
 }

@@ -1,31 +1,51 @@
-//! End-to-end harness smoke: a grid with a deliberately panicking cell must
-//! finish, retry the cell once, and report the failure with its (cell, seed)
-//! label — instead of aborting and losing every completed cell.
+//! End-to-end executor smoke: a plan with a deliberately panicking replicate
+//! must finish, retry the replicate once, and report the failure with its
+//! (cell, seed) label — instead of aborting and losing every completed
+//! replicate.
 
 use experiments::harness::{
-    run_grid_isolated, run_replicated_isolated, MechanismChoice, RunSummary,
+    execute, execute_with, MechanismChoice, NoCache, Plan, PlanCell, RunPolicy, RunSummary,
+    SeedPlan,
 };
 use experiments::report::write_csv;
 use fedml::rng::Rng64;
 
-use airfedga::system::FlSystemConfig;
+use airfedga::system::{FlSystem, FlSystemConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// `mechanisms` compared on the quick LR workload (system seed 5), three
+/// rounds per replicate.
+fn quick_plan(mechanisms: &[MechanismChoice], run_seeds: Vec<u64>) -> Plan {
+    Plan::comparison(
+        FlSystemConfig::mnist_lr_quick(),
+        mechanisms,
+        SeedPlan::fixed_system(5, run_seeds),
+        3,
+        1,
+        None,
+    )
+}
+
+/// The replicate body `execute` would run.
+fn run_cell(cell: &PlanCell, system: &FlSystem, seed: u64) -> RunSummary {
+    let mech = cell.mechanism.build(3, 1, None);
+    RunSummary::from_trace(mech.run(system, &mut Rng64::seed_from(seed)))
+}
 
 #[test]
 fn grid_with_a_panicking_cell_completes_with_a_failure_report() {
-    let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(5));
     let retries = AtomicUsize::new(0);
-    let outcome = run_replicated_isolated(
-        MechanismChoice::aircomp_trio(),
-        &[4242, 4243],
-        |_, choice| choice.label().to_string(),
-        |&choice, seed| {
-            if choice == MechanismChoice::Dynamic && seed == 4243 {
+    let plan = quick_plan(&MechanismChoice::aircomp_trio(), vec![4242, 4243]);
+    let outcome = execute_with(
+        &plan,
+        &RunPolicy::default(),
+        &NoCache,
+        |cell, system, seed| {
+            if cell.mechanism == MechanismChoice::Dynamic && seed == 4243 {
                 retries.fetch_add(1, Ordering::SeqCst);
                 panic!("deliberately injected cell failure");
             }
-            let mech = choice.build(3, 1, None);
-            RunSummary::from_trace(mech.run(&system, &mut Rng64::seed_from(seed)))
+            run_cell(cell, system, seed)
         },
     );
 
@@ -63,20 +83,25 @@ fn grid_with_a_panicking_cell_completes_with_a_failure_report() {
 #[test]
 fn transient_cell_failures_recover_on_retry() {
     let attempts = AtomicUsize::new(0);
-    let outcome = run_grid_isolated(
-        vec![0usize, 1, 2, 3],
-        |i, _| format!("cell {i}"),
-        |&cell| {
-            if cell == 1 && attempts.fetch_add(1, Ordering::SeqCst) == 0 {
+    let plan = quick_plan(&MechanismChoice::aircomp_trio(), vec![4242]);
+    let outcome = execute_with(
+        &plan,
+        &RunPolicy::default(),
+        &NoCache,
+        |cell, system, seed| {
+            if cell.mechanism == MechanismChoice::AirFedAvg
+                && attempts.fetch_add(1, Ordering::SeqCst) == 0
+            {
                 panic!("transient blip");
             }
-            cell * 10
+            run_cell(cell, system, seed)
         },
     );
     assert!(outcome.is_complete());
-    assert_eq!(outcome.results, vec![Some(0), Some(10), Some(20), Some(30)]);
+    assert!(outcome.cells.iter().all(Option::is_some));
     assert_eq!(outcome.failures.len(), 1);
     assert!(outcome.failures[0].recovered);
+    assert_eq!(outcome.failures[0].label, "Air-FedAvg seed 4242");
 }
 
 /// Several (cell, seed) pairs die on *both* attempts: the report lists them
@@ -84,19 +109,22 @@ fn transient_cell_failures_recover_on_retry() {
 /// to `None`, and the survivors are untouched.
 #[test]
 fn multiple_dead_replicates_report_in_input_order() {
-    let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(5));
-    let outcome = run_replicated_isolated(
-        vec![MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa],
-        &[4242, 4243],
-        |_, choice| choice.label().to_string(),
-        |&choice, seed| {
+    let plan = quick_plan(
+        &[MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa],
+        vec![4242, 4243],
+    );
+    let outcome = execute_with(
+        &plan,
+        &RunPolicy::default(),
+        &NoCache,
+        |cell, system, seed| {
+            let choice = cell.mechanism;
             let dead = (choice == MechanismChoice::AirFedAvg && seed == 4243)
                 || choice == MechanismChoice::AirFedGa;
             if dead {
                 panic!("always dies ({}, {seed})", choice.label());
             }
-            let mech = choice.build(3, 1, None);
-            RunSummary::from_trace(mech.run(&system, &mut Rng64::seed_from(seed)))
+            run_cell(cell, system, seed)
         },
     );
 
@@ -130,26 +158,23 @@ fn multiple_dead_replicates_report_in_input_order() {
     assert!(pos("Air-FedGA seed 4242") < pos("Air-FedGA seed 4243"));
 }
 
-/// Mixed success/failure still produces a CSV — containing exactly the
+/// Mixed success and failure still produces a CSV — containing exactly the
 /// surviving cells' rows, never a row for a cell that lost every replicate.
+/// The failing cell runs on a system whose faults inject a panic at round 1.
 #[test]
 fn mixed_success_and_failure_yields_a_partial_csv() {
-    let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(5));
-    let outcome = run_replicated_isolated(
-        MechanismChoice::aircomp_trio(),
-        &[4242],
-        |_, choice| choice.label().to_string(),
-        |&choice, seed| {
-            if choice == MechanismChoice::AirFedAvg {
-                panic!("dead mechanism");
-            }
-            let mech = choice.build(3, 1, None);
-            RunSummary::from_trace(mech.run(&system, &mut Rng64::seed_from(seed)))
-        },
-    );
+    let mut plan = quick_plan(&MechanismChoice::aircomp_trio(), vec![4242]);
+    let mut dead_system = plan.systems[0].clone();
+    dead_system.faults.inject_panic_round = Some(1);
+    plan.systems.push(dead_system);
+    plan.cells[1].system = 1; // Air-FedAvg
+    let outcome = execute(&plan, &RunPolicy::default(), &NoCache);
+    assert_eq!(outcome.failures.len(), 1);
+    assert_eq!(outcome.failures[0].label, "Air-FedAvg seed 4242");
+    assert!(outcome.failures[0].message.contains("injected fault"));
 
-    // Render the survivors the way the grid driver does: one row per cell
-    // that still has statistics.
+    // Render the survivors the way the reports do: one row per cell that
+    // still has statistics.
     let mut csv = String::from("mechanism,final_acc\n");
     for stat in outcome.cells.iter().flatten() {
         csv.push_str(&format!(

@@ -39,6 +39,27 @@ seeds = 2
 xi = [0.3, 1.0]
 "#;
 
+/// A small ξ-sweep (the Fig. 8 kind): 2 ξ values × 2 seeds = 4 replicates.
+const XI_SPEC: &str = r#"
+[scenario]
+name = "jobsvc_xi"
+kind = "xi_sweep"
+title = "job service xi sweep"
+csv_prefix = "jobsvc_xi"
+
+[system]
+workload = "mnist_lr_quick"
+
+[run]
+accuracy_targets = [0.5]
+rounds = 6
+eval_every = 2
+seeds = 2
+
+[sweep]
+xi = [0.3, 1.0]
+"#;
+
 /// A single cell that hangs at round 2 under a generous watchdog: the only
 /// way it ends quickly is a cooperative cancel.
 const HANG_SPEC: &str = r#"
@@ -179,6 +200,41 @@ fn http_submit_execute_fetch_and_dedup_round_trip() {
     // Unknown ids are 404s, not panics.
     assert!(client::status(&addr, 999).is_err());
     assert!(client::cancel(&addr, 999).is_err());
+
+    client::shutdown(&addr).unwrap();
+    poke(&addr);
+    executor.join().unwrap();
+    fs::remove_dir_all(&root).ok();
+}
+
+/// Sweep kinds dedup like every other kind: the second identical ξ-sweep
+/// job loads all of its replicates from the shared store and writes the
+/// same CSV bytes.
+#[test]
+fn identical_xi_sweep_jobs_dedup_through_the_shared_store() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let root = tmp_root("xi_dedup");
+    let server = open(&root);
+    let executor = server.start_executor();
+    let addr = serve(&server);
+
+    let csv_name = "jobsvc_xi_xi_sweep.csv";
+    let mut csvs = Vec::new();
+    let mut caches = Vec::new();
+    for name in ["xi", "xi-again"] {
+        let id = client::submit(&addr, name, 0, XI_SPEC).unwrap();
+        assert_eq!(
+            server.wait_terminal(id, Duration::from_secs(120)),
+            Some(JobState::Done)
+        );
+        caches.push(server.status(id).unwrap().0.cache.unwrap());
+        csvs.push(client::fetch_file(&addr, id, csv_name).unwrap());
+    }
+    assert_eq!(caches[0].misses, 4, "{}", caches[0].summary());
+    assert!(caches[1].all_hits(), "{}", caches[1].summary());
+    assert_eq!(caches[1].hits, 4);
+    assert!(csvs[0].starts_with("xi,groups"), "csv was: {}", csvs[0]);
+    assert_eq!(csvs[0], csvs[1]);
 
     client::shutdown(&addr).unwrap();
     poke(&addr);

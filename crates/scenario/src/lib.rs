@@ -2,8 +2,8 @@
 //!
 //! Experiments are **data, not code**: a scenario file (a TOML subset, see
 //! [`toml`]) names a workload, mechanisms, seeds and sweep axes, and one
-//! driver executes it through the deterministic `experiments` machinery
-//! (`run_grid` / `run_replicated`). The pieces:
+//! driver executes it through the deterministic `experiments` executor
+//! (`harness::execute`). The pieces:
 //!
 //! * [`toml`] — the self-contained TOML-subset parser (no crates.io access,
 //!   so hand-rolled like the `crates/compat` stand-ins), with line-numbered
@@ -12,22 +12,23 @@
 //!   partitioners, heterogeneity, channel presets, mechanisms, workload
 //!   presets) scenario files compose from.
 //! * [`spec`] — the typed [`spec::ScenarioSpec`]: validation, defaulting,
-//!   and the deterministic sweep-axis → grid-cell expansion.
-//! * [`run`] — executing a spec through the shared figure/sweep drivers, and
-//!   the CLI glue (`--seeds` / `--system-seeds` override the spec's keys;
+//!   and the deterministic sweep-axis → cell expansion every kind shares.
+//! * [`run`] — lowering a spec to the executor's plan, running it and
+//!   rendering the kind's report, and the CLI glue (`--seeds` / `--system-seeds` override the spec's keys;
 //!   `--resume` / `--fresh` select the crash-safe run store).
 //!
 //! Binaries:
 //!
 //! * `airfedga-run <scenario.toml>` — run any spec file.
-//! * `fig3_lr_mnist` / `fig8_xi_sweep` / `fig10_scalability` — thin wrappers
-//!   over the committed `scenarios/fig3.toml` / `fig8.toml` / `fig10.toml`,
-//!   kept so existing workflows (and the CI determinism jobs) are untouched;
-//!   their output is byte-identical to the pre-scenario hardcoded binaries.
+//! * `fig3_lr_mnist` / `fig8_xi_sweep` / `fig9_energy` / `fig10_scalability`
+//!   — thin wrappers over the committed `scenarios/fig3.toml` / `fig8.toml`
+//!   / `fig9*.toml` / `fig10.toml`, kept so existing workflows (and the CI
+//!   determinism jobs) are untouched; their output is byte-identical to the
+//!   pre-scenario hardcoded binaries.
 //!
-//! A scenario that reproduces a figure runs the *same* code path as the
-//! figure binary, so spec-driven and legacy output are byte-identical — the
-//! CI scenario-equivalence job diffs them.
+//! A wrapper runs the *same* code path as `airfedga-run` on its spec, so
+//! their output is byte-identical — the CI scenario-equivalence job diffs
+//! them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,23 +1,24 @@
 //! Executing a validated [`ScenarioSpec`].
 //!
-//! The figure-shaped kinds (`time_accuracy`, `xi_sweep`, `scalability`)
-//! dispatch straight into the shared `experiments` drivers — the same code
-//! paths the legacy figure binaries call, so a scenario that reproduces a
-//! figure is byte-identical to the binary. The generic `grid` kind expands
-//! the sweep cross-product ([`crate::spec::expand_grid`]) and fans the flat
-//! `(cell × seed)` list through `harness::run_replicated_isolated_plan`,
-//! printing a summary table and writing `<csv_prefix>_grid.csv`; a
-//! panicking replicate is retried per the spec's `[limits]` policy, and the
-//! failures come back in the [`ExecutionReport`] for the binary to print to
-//! stderr and fold into its exit code.
+//! Every kind runs the same way: `lower` expands the spec into a
+//! `harness::Plan` — the distinct systems, one cell per
+//! `(worker count × ξ × mechanism)` combination ([`crate::spec::expand_grid`])
+//! and the seed plan — and `harness::execute` runs its `(cell × seed)`
+//! replicates. Kinds differ only in how they expand cells and in the report
+//! they render from the folded statistics: the time-accuracy table, CSVs and
+//! speed-ups (plus the Fig. 9 energy table), the ξ table, the scalability
+//! tables, or the grid table. A panicking replicate is retried per the
+//! spec's `[limits]` policy, and the failures come back in the
+//! [`ExecutionReport`] for the binary to print to stderr and fold into its
+//! exit code. A scenario that reproduces a figure prints and writes
+//! byte-for-byte what the historical figure binary did.
 //!
 //! CLI precedence: the `--seeds N` and `--system-seeds` flags override the
 //! spec's `run.seeds` / `run.system_seeds` keys, `--resume` / `--fresh`
 //! select the [`StoreMode`] (a content-addressed store under `runstore/` —
 //! see the `runstore` crate — keyed by the resolved spec, so completed
-//! replicates of an interrupted grid are loaded instead of re-run), and
-//! `AIRFEDGA_SCALE` selects the scale exactly as it does for the figure
-//! binaries.
+//! replicates of an interrupted run are loaded instead of re-run), and
+//! `AIRFEDGA_SCALE` selects the scale.
 //!
 //! Telemetry: `--telemetry <dir>` (or the spec's `[telemetry] dir` key)
 //! enables the `telemetry` crate for the run and flushes `spans.jsonl`,
@@ -30,18 +31,12 @@
 
 use crate::spec::{expand_grid, GridCell, ScenarioKind, ScenarioSpec};
 use crate::ScenarioError;
-use experiments::figures::{
-    print_speedups, run_time_accuracy_figure_durable, FigureOutcome, FigureParams,
-};
-use experiments::harness::{
-    run_replicated_isolated_plan, CellFailure, NoCache, ReplicateCache, RunPolicy, RunSummary,
-};
+use experiments::figures::{print_speedups, report_time_accuracy, FigureParams};
+use experiments::harness::{self, CellFailure, NoCache, Plan, PlanCell, ReplicateCache, RunPolicy};
 use experiments::report::{fmt_opt_secs, fmt_secs, try_write_csv, Table};
 use experiments::scale::{seeds_flag_opt, system_seeds_flag, Scale};
-use experiments::sweeps::{
-    build_sweep_mechanism, fmt_xi, run_scalability, run_xi_sweep, ScalabilityFigure, XiSweepFigure,
-};
-use fedml::rng::Rng64;
+use experiments::stats::CellStats;
+use experiments::sweeps::{fmt_xi, report_scalability, report_xi_sweep};
 use runstore::{CacheStats, RunStore, StoreCache};
 use std::path::{Path, PathBuf};
 
@@ -153,9 +148,8 @@ impl CliOverrides {
 /// either was active.
 #[derive(Debug, Default)]
 pub struct ExecutionReport {
-    /// Replicate failures across the run, recovered ones included. Always
-    /// empty for the inline kinds (`xi_sweep`, `scalability`), which abort
-    /// on panic instead of isolating it.
+    /// Replicate failures across the run, recovered ones included, in flat
+    /// (cell, seed) order.
     pub failures: Vec<CellFailure>,
     /// Run-store cache statistics (hits / recomputes / corrupt degrades)
     /// when the run used `--resume` / `--fresh`; `None` with the store
@@ -173,19 +167,9 @@ impl ExecutionReport {
         self.failures.iter().all(|f| f.recovered)
     }
 
-    /// Multi-line failure report (empty string when nothing failed), in the
-    /// same format the grid driver historically printed.
+    /// Multi-line failure report (empty string when nothing failed).
     pub fn failure_report(&self) -> String {
-        if self.failures.is_empty() {
-            return String::new();
-        }
-        let mut out = format!("{} replicate(s) panicked:\n", self.failures.len());
-        for f in &self.failures {
-            out.push_str("  - ");
-            out.push_str(&f.describe());
-            out.push('\n');
-        }
-        out
+        harness::failure_report(&self.failures)
     }
 }
 
@@ -298,15 +282,6 @@ pub fn execute(
     cli: &CliOverrides,
 ) -> Result<ExecutionReport, ScenarioError> {
     let params = figure_params(spec, scale, cli);
-    if cli.store != StoreMode::Disabled
-        && !matches!(spec.kind, ScenarioKind::TimeAccuracy | ScenarioKind::Grid)
-    {
-        return Err(ScenarioError::new(format!(
-            "[{}] --resume/--fresh apply only to time_accuracy and grid scenarios \
-             (the inline sweep kinds keep no per-replicate results to store)",
-            spec.name
-        )));
-    }
     let policy = run_policy(spec);
     let store = open_store(spec, scale, &params, cli.store, cli.store_root.as_deref())?;
     let store_cache = store.as_ref().map(StoreCache::new);
@@ -339,68 +314,47 @@ pub fn execute(
     }
 
     let grid_span = telemetry::span!("grid");
-    let mut report = match spec.kind {
+    let plan = lower(spec, &params);
+    let outcome = harness::execute(&plan, &policy, cache);
+    let cells = &outcome.cells;
+    match spec.kind {
         ScenarioKind::TimeAccuracy => {
-            let run = run_time_accuracy_figure_durable(
-                &spec.title,
-                spec.base_config.clone(),
-                &spec.mechanisms,
-                &spec.accuracy_targets,
-                &spec.csv_prefix,
-                &params,
-                &policy,
-                cache,
-            );
+            let targets = &spec.accuracy_targets;
+            report_time_accuracy(&spec.title, targets, &spec.csv_prefix, scale, &plan, cells);
             if let Some(target) = spec.speedup_target {
-                print_speedups(&run.survivors(), target);
+                print_speedups(cells, target);
             }
             if !spec.energy_targets.is_empty() {
-                print_energy_table(spec, &params, &run.survivors());
-            }
-            ExecutionReport {
-                failures: run.failures,
-                ..ExecutionReport::default()
+                print_energy_table(spec, plan.seeds.num_seeds(), cells);
             }
         }
-        ScenarioKind::XiSweep => {
-            run_xi_sweep(
-                &XiSweepFigure {
-                    title: spec.title.clone(),
-                    workload: spec.base_config.clone(),
-                    xis: spec.sweep_xi.clone(),
-                    targets: spec.accuracy_targets.clone(),
-                    csv_name: format!("{}_xi_sweep.csv", spec.csv_prefix),
-                    rounds_factor: 2,
-                },
-                &params,
-            );
-            ExecutionReport::default()
-        }
-        ScenarioKind::Scalability => {
-            run_scalability(
-                &ScalabilityFigure {
-                    title: spec.title.clone(),
-                    workload: spec.base_config.clone(),
-                    worker_counts: spec.sweep_num_workers.clone(),
-                    per_worker_samples: spec.per_worker_samples,
-                    target: spec.accuracy_targets[0],
-                    mechanisms: spec.mechanisms.clone(),
-                    csv_name: format!("{}_scalability.csv", spec.csv_prefix),
-                },
-                &params,
-            );
-            ExecutionReport::default()
-        }
-        ScenarioKind::Grid => ExecutionReport {
-            failures: run_grid_scenario(spec, &params, &policy, cache),
-            ..ExecutionReport::default()
-        },
-    };
+        ScenarioKind::XiSweep => report_xi_sweep(
+            &spec.title,
+            &spec.accuracy_targets,
+            &format!("{}_xi_sweep.csv", spec.csv_prefix),
+            scale,
+            &plan,
+            cells,
+        ),
+        ScenarioKind::Scalability => report_scalability(
+            &spec.title,
+            spec.accuracy_targets[0],
+            &format!("{}_scalability.csv", spec.csv_prefix),
+            &plan,
+            cells,
+        ),
+        ScenarioKind::Grid => report_grid(spec, scale, &plan, cells),
+    }
     drop(grid_span);
 
-    // Cache statistics are collected even with telemetry off (the atomics
-    // live on the `StoreCache` itself), so `--resume` can always summarise.
-    report.cache = store_cache.as_ref().map(StoreCache::stats);
+    let mut report = ExecutionReport {
+        failures: outcome.failures,
+        // Cache statistics are collected even with telemetry off (the
+        // atomics live on the `StoreCache` itself), so `--resume` can
+        // always summarise.
+        cache: store_cache.as_ref().map(StoreCache::stats),
+        profile: None,
+    };
 
     if let Some(dir) = &telemetry_dir {
         let profile = telemetry::flush_to_dir(dir).map_err(|e| {
@@ -420,8 +374,7 @@ pub fn execute(
 /// spent to reach the spec's `run.energy_targets`. Byte-identical to the
 /// historical `fig9_energy` binary's table (single-seed cells print the
 /// canonical first-seed value, replicated cells mean±std [reached/total]).
-fn print_energy_table(spec: &ScenarioSpec, params: &FigureParams, outcome: &FigureOutcome) {
-    let num_seeds = params.num_seeds;
+fn print_energy_table(spec: &ScenarioSpec, num_seeds: usize, cells: &[Option<CellStats>]) {
     let title = match &spec.energy_label {
         Some(label) => format!("Aggregation energy (J) to reach target accuracy — {label}"),
         None => "Aggregation energy (J) to reach target accuracy".to_string(),
@@ -431,7 +384,7 @@ fn print_energy_table(spec: &ScenarioSpec, params: &FigureParams, outcome: &Figu
         .collect();
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut table = Table::new(&title, &header_refs);
-    for c in &outcome.cells {
+    for c in cells.iter().flatten() {
         let mut row = vec![c.mechanism.clone()];
         for &t in &spec.energy_targets {
             row.push(if num_seeds == 1 {
@@ -457,111 +410,100 @@ pub fn run_scenario_str(src: &str) -> Result<ExecutionReport, ScenarioError> {
     execute(&spec, Scale::from_env(), &cli)
 }
 
-/// The generic cross-product sweep: every [`GridCell`] builds its own system
-/// (axes may change the worker count) and runs its mechanism, with the flat
-/// `(cell × seed)` product fanned across the persistent pool. Cells derive
-/// all randomness from their own `(system_seed, run_seed)`, so the grid is
-/// bit-identical to the sequential double loop at any thread count / chunk
-/// factor. Returns the replicate failures (recovered ones included) for the
-/// caller's [`ExecutionReport`].
-fn run_grid_scenario(
-    spec: &ScenarioSpec,
-    params: &FigureParams,
-    policy: &RunPolicy,
-    cache: &dyn ReplicateCache,
-) -> Vec<CellFailure> {
-    let scale = params.scale;
-    let plan = params.plan();
-    let seeds = plan.run_seeds.clone();
+/// Lower a spec to the plan `harness::execute` runs. The cells are
+/// [`expand_grid`]'s `(worker count × ξ × mechanism)` list in order, and
+/// only the worker-count axis changes the system build (ξ and the mechanism
+/// act at run time), so the plan holds one system per distinct worker count.
+fn lower(spec: &ScenarioSpec, params: &FigureParams) -> Plan {
+    let cells = expand_grid(spec, params.scale);
+    let mut worker_counts: Vec<Option<usize>> = Vec::new();
+    for cell in &cells {
+        if !worker_counts.contains(&cell.num_workers) {
+            worker_counts.push(cell.num_workers);
+        }
+    }
     let base = params.apply(spec.base_config.clone());
-    let rounds = params.rounds();
-    let eval_every = params.eval();
-    let cells = expand_grid(spec);
+    let systems = worker_counts
+        .iter()
+        .map(|&n| {
+            let mut cfg = base.clone();
+            if let Some(n) = n {
+                cfg.num_workers = n;
+                if spec.kind == ScenarioKind::Scalability {
+                    // The scalability sweep keeps the per-worker shard size
+                    // constant, as when adding workers adds data: it
+                    // isolates how the *mechanisms* scale with N rather than
+                    // how shrinking shards speed up local training.
+                    cfg.dataset.samples_per_class =
+                        spec.per_worker_samples * n / cfg.dataset.num_classes.max(1);
+                }
+            }
+            cfg
+        })
+        .collect();
+    let cells = cells
+        .iter()
+        .map(|cell| PlanCell {
+            label: cell_label(cell),
+            system: worker_counts
+                .iter()
+                .position(|&n| n == cell.num_workers)
+                .expect("every worker count was collected above"),
+            mechanism: cell.mechanism,
+            xi: cell.xi,
+        })
+        .collect();
+    // The ξ sweep runs twice the scale's round budget by default, so the
+    // slow ξ extremes still reach the targets.
+    let total_rounds = match (spec.kind, params.total_rounds) {
+        (ScenarioKind::XiSweep, None) => 2 * params.scale.total_rounds(),
+        _ => params.rounds(),
+    };
+    Plan {
+        systems,
+        cells,
+        seeds: params.plan(),
+        total_rounds,
+        eval_every: params.eval(),
+        max_virtual_time: params.max_virtual_time,
+    }
+}
 
+/// The label that names a cell in failure reports and keys its replicates in
+/// the run store: its swept axes, then the mechanism (`"N=20 xi=0.3
+/// Air-FedGA"`; just `"Air-FedGA"` for a `time_accuracy` cell).
+fn cell_label(cell: &GridCell) -> String {
+    let mut parts: Vec<String> = Vec::new();
+    if let Some(n) = cell.num_workers {
+        parts.push(format!("N={n}"));
+    }
+    if let Some(xi) = cell.xi {
+        parts.push(format!("xi={}", fmt_xi(xi)));
+    }
+    parts.push(cell.mechanism.label().to_string());
+    parts.join(" ")
+}
+
+/// The grid report: a banner, one summary row per surviving cell (a cell
+/// whose replicates all died has no row; the failure report names it) and
+/// `<csv_prefix>_grid.csv`.
+fn report_grid(spec: &ScenarioSpec, scale: Scale, plan: &Plan, stats: &[Option<CellStats>]) {
+    let seeds = &plan.seeds.run_seeds;
     println!(
         "{}\n  workload: {} | {} cells | {} rounds | {} seed(s) (scale: {scale:?})",
         spec.title,
-        base.dataset.name,
-        cells.len(),
-        rounds,
+        plan.systems[0].dataset.name,
+        plan.cells.len(),
+        plan.total_rounds,
         seeds.len()
     );
-    if plan.vary_system {
+    if plan.seeds.vary_system {
         println!(
             "  system re-sampled per replicate (system seeds {}..{})",
-            plan.system_seed,
-            plan.system_seed + (seeds.len() as u64 - 1)
+            plan.seeds.system_seed,
+            plan.seeds.system_seed + (seeds.len() as u64 - 1)
         );
     }
-
-    // Only the worker-count axis affects the system build (xi and the
-    // mechanism act at run time), so with a fixed system seed the distinct
-    // systems are one per worker count — build each once and share it
-    // across cells and replicates. Under `--system-seeds` every replicate
-    // needs its own sample, so cells build inline instead.
-    let cfg_for = |n: Option<usize>| {
-        let mut cfg = base.clone();
-        if let Some(n) = n {
-            cfg.num_workers = n;
-        }
-        cfg
-    };
-    let mut distinct_ns: Vec<Option<usize>> = Vec::new();
-    for cell in &cells {
-        if !distinct_ns.contains(&cell.num_workers) {
-            distinct_ns.push(cell.num_workers);
-        }
-    }
-    let shared: Vec<airfedga::system::FlSystem> = if plan.vary_system {
-        Vec::new()
-    } else {
-        distinct_ns
-            .iter()
-            .map(|&n| cfg_for(n).build(&mut Rng64::seed_from(plan.system_seed)))
-            .collect()
-    };
-    // Cells run panic-isolated: a failed (cell, seed) replicate is retried
-    // once sequentially, surviving replicates keep their statistics, and the
-    // failures are reported after the table instead of aborting the run.
-    let cell_label = |_i: usize, cell: &GridCell| {
-        let mut parts: Vec<String> = Vec::new();
-        if let Some(n) = cell.num_workers {
-            parts.push(format!("N={n}"));
-        }
-        if let Some(xi) = cell.xi {
-            parts.push(format!("xi={}", fmt_xi(xi)));
-        }
-        parts.push(cell.mechanism.label().to_string());
-        parts.join(" ")
-    };
-    let outcome = run_replicated_isolated_plan(
-        cells.clone(),
-        &plan,
-        cell_label,
-        policy,
-        cache,
-        |cell, seed| {
-            let mech = build_sweep_mechanism(
-                cell.mechanism,
-                cell.xi,
-                rounds,
-                eval_every,
-                params.max_virtual_time,
-            );
-            if plan.vary_system {
-                let system = cfg_for(cell.num_workers)
-                    .build(&mut Rng64::seed_from(plan.system_seed_for(seed)));
-                RunSummary::from_trace(mech.run(&system, &mut Rng64::seed_from(seed)))
-            } else {
-                let idx = distinct_ns
-                    .iter()
-                    .position(|&n| n == cell.num_workers)
-                    .expect("cell worker count is in distinct_ns by construction");
-                RunSummary::from_trace(mech.run(&shared[idx], &mut Rng64::seed_from(seed)))
-            }
-        },
-    );
-    let stats = &outcome.cells;
 
     let replicated = seeds.len() > 1;
     let faulty = !spec.base_config.faults.is_none();
@@ -626,14 +568,12 @@ fn run_grid_scenario(
     let mut csv = csv_header.join(",");
     csv.push('\n');
 
-    for (cell, stat) in cells.iter().zip(stats) {
-        // A cell whose replicates all died even after the retry has no
-        // statistics; its row is omitted and the failure report names it.
+    for (cell, stat) in plan.cells.iter().zip(stats) {
         let Some(stat) = stat else { continue };
         let mut row: Vec<String> = Vec::new();
         let mut csv_row: Vec<String> = Vec::new();
         if has_n {
-            let n = cell.num_workers.expect("has_n implies a worker count");
+            let n = plan.systems[cell.system].num_workers;
             row.push(n.to_string());
             csv_row.push(n.to_string());
         }
@@ -705,7 +645,6 @@ fn run_grid_scenario(
     }
     println!("{}", table.render());
     try_write_csv(&format!("{}_grid.csv", spec.csv_prefix), &csv);
-    outcome.failures
 }
 
 #[cfg(test)]
@@ -856,13 +795,13 @@ max_retries = 0
         assert!(text.contains("FAILED (no retry)"));
     }
 
-    /// The crash-safe round trip: a `--fresh` run populates the store, and
-    /// a `--resume` rerun replays every replicate from disk — same clean
-    /// report, byte-identical CSV, and no new journal entries (nothing was
-    /// recomputed).
+    /// The crash-safe round trip, for a grid and for both sweep kinds: a
+    /// `--fresh` run populates the store, and a `--resume` rerun replays
+    /// every replicate from disk — same clean report, byte-identical CSV,
+    /// and no new journal entries (nothing was recomputed).
     #[test]
     fn fresh_then_resume_replays_identical_csv_bytes() {
-        let src = r#"
+        let grid = r#"
 [scenario]
 name = "test_scenario_resume"
 kind = "grid"
@@ -881,49 +820,66 @@ seeds = 2
 [sweep]
 xi = [0.3, 1.0]
 "#;
-        let spec = ScenarioSpec::parse(src).unwrap();
-        let fresh = CliOverrides {
-            store: StoreMode::Fresh,
-            ..CliOverrides::default()
-        };
-        let populate = execute(&spec, Scale::Quick, &fresh).unwrap();
-        assert!(populate.is_clean());
-        // A fresh store has nothing to hit: every replicate recomputes.
-        let stats = populate.cache.expect("store was active");
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 4);
-        let csv = Path::new("results/test_scenario_resume_grid.csv");
-        let first = std::fs::read(csv).unwrap();
-        std::fs::remove_file(csv).unwrap();
+        // (spec, CSV it writes, replicates at two seeds)
+        let inputs = [
+            (grid, "test_scenario_resume_grid.csv", 4),
+            (
+                include_str!("../tests/fixtures/tiny_xi_sweep.toml"),
+                "tiny_xi_sweep_xi_sweep.csv",
+                4,
+            ),
+            (
+                include_str!("../tests/fixtures/tiny_scalability.toml"),
+                "tiny_scalability_scalability.csv",
+                8,
+            ),
+        ];
+        for (src, csv_name, replicates) in inputs {
+            let spec = ScenarioSpec::parse(src).unwrap();
+            let fresh = CliOverrides {
+                seeds: Some(2),
+                store: StoreMode::Fresh,
+                ..CliOverrides::default()
+            };
+            let populate = execute(&spec, Scale::Quick, &fresh).unwrap();
+            assert!(populate.is_clean());
+            // A fresh store has nothing to hit: every replicate recomputes.
+            let stats = populate.cache.expect("store was active");
+            assert_eq!(stats.hits, 0);
+            assert_eq!(stats.misses, replicates);
+            let csv = Path::new("results").join(csv_name);
+            let first = std::fs::read(&csv).unwrap();
+            std::fs::remove_file(&csv).unwrap();
 
-        // 2 cells × 2 seeds, all persisted by the fresh run.
-        let params = figure_params(&spec, Scale::Quick, &fresh);
-        let store = open_store(&spec, Scale::Quick, &params, StoreMode::Resume, None)
-            .unwrap()
-            .unwrap();
-        assert_eq!(store.completed(), 4);
-        assert_eq!(store.journal_len(), 4);
+            // Every replicate was persisted by the fresh run.
+            let params = figure_params(&spec, Scale::Quick, &fresh);
+            let store = open_store(&spec, Scale::Quick, &params, StoreMode::Resume, None)
+                .unwrap()
+                .unwrap();
+            assert_eq!(store.completed() as u64, replicates);
+            assert_eq!(store.journal_len() as u64, replicates);
 
-        let resume = CliOverrides {
-            store: StoreMode::Resume,
-            ..CliOverrides::default()
-        };
-        let replay = execute(&spec, Scale::Quick, &resume).unwrap();
-        assert!(replay.is_clean());
-        assert_eq!(std::fs::read(csv).unwrap(), first);
-        // Every replicate was a cache hit — nothing was re-stored.
-        assert_eq!(store.journal_len(), 4);
-        // And the report carries the cache statistics (telemetry off).
-        let stats = replay.cache.expect("store was active");
-        assert_eq!(
-            stats,
-            CacheStats {
-                hits: 4,
-                misses: 0,
-                corrupt_degraded: 0
-            }
-        );
-        assert!(stats.summary().contains("4 hit(s)"));
+            let resume = CliOverrides {
+                store: StoreMode::Resume,
+                ..fresh
+            };
+            let replay = execute(&spec, Scale::Quick, &resume).unwrap();
+            assert!(replay.is_clean());
+            assert_eq!(std::fs::read(&csv).unwrap(), first, "{csv_name}");
+            // Every replicate was a cache hit — nothing was re-stored.
+            assert_eq!(store.journal_len() as u64, replicates);
+            // And the report carries the cache statistics (telemetry off).
+            let stats = replay.cache.expect("store was active");
+            assert_eq!(
+                stats,
+                CacheStats {
+                    hits: replicates,
+                    misses: 0,
+                    corrupt_degraded: 0
+                }
+            );
+            assert!(stats.summary().contains(&format!("{replicates} hit(s)")));
+        }
     }
 
     /// A `[telemetry]` table must not re-key the run store: a resumed run
@@ -1095,35 +1051,5 @@ xi = [0.3, 1.0]
             String::from_utf8_lossy(&seq)
         );
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    /// `--resume`/`--fresh` are rejected for the inline sweep kinds, which
-    /// keep no per-replicate results to store.
-    #[test]
-    fn store_flags_are_rejected_for_inline_kinds() {
-        let src = r#"
-[scenario]
-name = "test_scenario_xi"
-kind = "xi_sweep"
-title = "test xi sweep"
-
-[system]
-workload = "mnist_lr_quick"
-
-[run]
-accuracy_targets = [0.5]
-rounds = 4
-eval_every = 2
-
-[sweep]
-xi = [1.0]
-"#;
-        let spec = ScenarioSpec::parse(src).unwrap();
-        let cli = CliOverrides {
-            store: StoreMode::Resume,
-            ..CliOverrides::default()
-        };
-        let err = execute(&spec, Scale::Quick, &cli).unwrap_err();
-        assert!(err.msg.contains("--resume/--fresh apply only"));
     }
 }

@@ -4,18 +4,19 @@
 //! validated spec: every component name is resolved through the
 //! [`Registry`], every key is type-checked with line-numbered errors, and
 //! **unknown keys are rejected** (a typo'd key fails loudly instead of
-//! silently running the default). The spec then maps onto the shared
-//! experiment drivers — `FlSystemConfig` + [`FigureParams`] for the figure
-//! shapes, and the flat [`GridCell`] list `harness::run_replicated` consumes
-//! for generic sweeps.
+//! silently running the default). The spec then maps onto the executor —
+//! `FlSystemConfig` + [`experiments::FigureParams`] for the run shape, and the
+//! flat [`GridCell`] list every kind lowers to.
 //!
 //! ## Sweep expansion order
 //!
 //! [`expand_grid`] expands the sweep cross-product **deterministically and
 //! independently of key order in the file**: `num_workers` is the outermost
 //! axis, then `xi`, then `mechanisms` (innermost), each in the order its
-//! values are written. So `num_workers = [10, 20]`, `xi = [0.1, 0.3]`,
-//! `mechanisms = ["fedavg", "air-fedga"]` yields cells
+//! values are written. An absent axis is a single `None` value, except that
+//! `xi_sweep` and `scalability` scenarios fall back to their scale-dependent
+//! default ξ / worker-count grids. So `num_workers = [10, 20]`,
+//! `xi = [0.1, 0.3]`, `mechanisms = ["fedavg", "air-fedga"]` yields cells
 //! `(10, 0.1, fedavg), (10, 0.1, air-fedga), (10, 0.3, fedavg), …,
 //! (20, 0.3, air-fedga)` — the row order of the printed table and CSV, and
 //! the cell order handed to the deterministic parallel grid.
@@ -25,6 +26,8 @@ use crate::toml::{self, Node, TomlTable, Value};
 use crate::ScenarioError;
 use airfedga::system::FlSystemConfig;
 use experiments::harness::MechanismChoice;
+use experiments::scale::Scale;
+use experiments::sweeps::{default_worker_counts, default_xis};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 
@@ -115,8 +118,8 @@ pub struct ScenarioSpec {
     /// Per-worker shard size of the scalability sweep
     /// (`[sweep] per_worker_samples`, default 30).
     pub per_worker_samples: usize,
-    /// Per-cell execution limits (`[limits]`; `time_accuracy` and `grid`
-    /// kinds only). `None` — no table — keeps the historical behaviour.
+    /// Per-replicate execution limits (`[limits]`). `None` — no table —
+    /// keeps the historical behaviour.
     pub limits: Option<RunLimits>,
     /// Observability settings (`[telemetry]`). A pure side-channel: the
     /// default-reset copy is what the canonical spec form hashes, so these
@@ -124,8 +127,8 @@ pub struct ScenarioSpec {
     pub telemetry: TelemetrySettings,
 }
 
-/// The `[limits]` table: per-cell retry/timeout policy for the isolated
-/// runners. Absent keys fall back to the harness defaults (one retry, no
+/// The `[limits]` table: per-replicate retry/timeout policy of the
+/// executor. Absent keys fall back to the harness defaults (one retry, no
 /// backoff, no timeout).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunLimits {
@@ -154,8 +157,8 @@ pub struct TelemetrySettings {
     pub progress: Option<String>,
 }
 
-/// One expanded cell of a `grid` scenario. Axis fields are `None` when the
-/// spec does not sweep that axis (the base config's value applies).
+/// One expanded cell of a scenario. Axis fields are `None` when the spec
+/// does not sweep that axis (the base config's value applies).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridCell {
     /// Worker count, when `[sweep] num_workers` is present.
@@ -167,21 +170,30 @@ pub struct GridCell {
     pub mechanism: MechanismChoice,
 }
 
-/// Expand a `grid` scenario's sweep axes into the flat, deterministically
-/// ordered cell list (see the module docs for the order contract).
-pub fn expand_grid(spec: &ScenarioSpec) -> Vec<GridCell> {
-    let workers: Vec<Option<usize>> = match &spec.sweep_num_workers {
-        Some(ns) => ns.iter().map(|&n| Some(n)).collect(),
-        None => vec![None],
+/// Expand a scenario's sweep axes into the flat, deterministically ordered
+/// cell list (see the module docs for the order contract). A `time_accuracy`
+/// scenario has one cell per mechanism; an `xi_sweep` runs Air-FedGA.
+pub fn expand_grid(spec: &ScenarioSpec, scale: Scale) -> Vec<GridCell> {
+    let workers: Vec<Option<usize>> = match (&spec.sweep_num_workers, spec.kind) {
+        (Some(ns), _) => ns.iter().map(|&n| Some(n)).collect(),
+        (None, ScenarioKind::Scalability) => {
+            default_worker_counts(scale).into_iter().map(Some).collect()
+        }
+        (None, _) => vec![None],
     };
-    let xis: Vec<Option<f64>> = match &spec.sweep_xi {
-        Some(xs) => xs.iter().map(|&x| Some(x)).collect(),
-        None => vec![None],
+    let xis: Vec<Option<f64>> = match (&spec.sweep_xi, spec.kind) {
+        (Some(xs), _) => xs.iter().map(|&x| Some(x)).collect(),
+        (None, ScenarioKind::XiSweep) => default_xis(scale).into_iter().map(Some).collect(),
+        (None, _) => vec![None],
     };
-    let mut cells = Vec::with_capacity(workers.len() * xis.len() * spec.mechanisms.len());
+    let mechanisms = match spec.kind {
+        ScenarioKind::XiSweep => vec![MechanismChoice::AirFedGa],
+        _ => spec.mechanisms.clone(),
+    };
+    let mut cells = Vec::with_capacity(workers.len() * xis.len() * mechanisms.len());
     for &n in &workers {
         for &xi in &xis {
-            for &mechanism in &spec.mechanisms {
+            for &mechanism in &mechanisms {
                 cells.push(GridCell {
                     num_workers: n,
                     xi,
@@ -813,10 +825,6 @@ impl ScenarioSpec {
                     self.sweep_num_workers.is_none(),
                     "xi_sweep scenarios take no num_workers axis (use kind = \"grid\")",
                 )?;
-                need(
-                    self.limits.is_none(),
-                    "xi_sweep scenarios run inline and take no [limits] table",
-                )?;
             }
             ScenarioKind::Scalability => {
                 need(
@@ -831,10 +839,6 @@ impl ScenarioSpec {
                 need(
                     self.sweep_xi.is_none(),
                     "scalability scenarios take no xi axis (use kind = \"grid\")",
-                )?;
-                need(
-                    self.limits.is_none(),
-                    "scalability scenarios run inline and take no [limits] table",
                 )?;
             }
             ScenarioKind::Grid => {
@@ -907,7 +911,7 @@ num_workers = [5, 8]
         assert_eq!(spec.num_seeds, 1);
         assert_eq!(spec.run_seed, 4242);
         assert_eq!(spec.system_seed, 42);
-        let cells = expand_grid(&spec);
+        let cells = expand_grid(&spec, Scale::Quick);
         assert_eq!(cells.len(), 8);
         // num_workers outermost, xi next, mechanisms innermost.
         assert_eq!(
@@ -947,7 +951,7 @@ xi = [0.2, 0.4]
 "#,
         )
         .unwrap();
-        let cells = expand_grid(&spec);
+        let cells = expand_grid(&spec, Scale::Quick);
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().all(|c| c.num_workers.is_none()));
         assert_eq!(cells[0].xi, Some(0.2));
@@ -1204,32 +1208,6 @@ system_seeds = true
         let err =
             ScenarioSpec::parse(&format!("{MINIMAL_GRID}\n[limits]\ntimeout = 5\n")).unwrap_err();
         assert!(err.msg.contains("limits.timeout"), "{}", err.msg);
-    }
-
-    #[test]
-    fn limits_table_is_rejected_for_inline_kinds() {
-        let src = r#"
-[scenario]
-name = "tiny_xi"
-kind = "xi_sweep"
-title = "Tiny xi sweep"
-
-[system]
-workload = "mnist_lr_quick"
-
-[run]
-accuracy_targets = [0.5]
-rounds = 4
-eval_every = 2
-
-[sweep]
-xi = [0.1]
-
-[limits]
-max_retries = 0
-"#;
-        let err = ScenarioSpec::parse(src).unwrap_err();
-        assert!(err.msg.contains("no [limits] table"), "{}", err.msg);
     }
 
     #[test]

@@ -60,6 +60,21 @@ xi = [1.0]
 max_retries = 0
 "#;
 
+/// `PANIC_SPEC`'s injected panic and `[limits]` in the two sweep kinds,
+/// which run through the same executor: `(kind, extra keys, failure label)`.
+const SWEEP_PANIC_SPECS: [(&str, &str, &str); 2] = [
+    (
+        "xi_sweep",
+        "[sweep]\nxi = [1.0]\n",
+        "xi=1.0 Air-FedGA seed 4242",
+    ),
+    (
+        "scalability",
+        "mechanisms = [\"air-fedga\"]\n\n[sweep]\nnum_workers = [6]\n",
+        "N=6 Air-FedGA seed 4242",
+    ),
+];
+
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("scenario_cli_{tag}_{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -127,6 +142,23 @@ fn clean_run_exits_0_and_unrecovered_failures_exit_1() {
         stderr.contains("replicate(s) panicked"),
         "stderr was: {stderr}"
     );
+
+    for (kind, keys, label) in SWEEP_PANIC_SPECS {
+        let spec = format!(
+            "[scenario]\nname = \"cli_contract_{kind}_panic\"\nkind = \"{kind}\"\n\
+             title = \"cli contract injected panic\"\n\n\
+             [system]\nworkload = \"mnist_lr_quick\"\n\n\
+             [faults]\ninject_panic_round = 2\n\n\
+             [limits]\nmax_retries = 0\n\n\
+             [run]\naccuracy_targets = [0.5]\nrounds = 4\neval_every = 2\n{keys}"
+        );
+        fs::write(dir.join("sweep_panic.toml"), spec).unwrap();
+        let failed = run_in(&dir, &["sweep_panic.toml"]);
+        let stderr = String::from_utf8(failed.stderr).unwrap();
+        assert_eq!(failed.status.code(), Some(1), "{kind}: {stderr}");
+        assert!(stderr.contains(label), "{kind}: stderr was: {stderr}");
+        assert!(stderr.contains("FAILED (no retry)"), "{kind}: {stderr}");
+    }
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -3,10 +3,15 @@
 //! drifts from the registry or the format fails here, not at run time in CI.
 
 use experiments::harness::MechanismChoice;
+use experiments::Scale;
+use runstore::Fnv128;
 use scenario::spec::expand_grid;
-use scenario::{ScenarioKind, ScenarioSpec};
+use scenario::{CliOverrides, ScenarioKind, ScenarioSpec};
 
 const FIG3: &str = include_str!("../../../scenarios/fig3.toml");
+const FIG4: &str = include_str!("../../../scenarios/fig4.toml");
+const FIG5: &str = include_str!("../../../scenarios/fig5.toml");
+const FIG6: &str = include_str!("../../../scenarios/fig6.toml");
 const FIG8: &str = include_str!("../../../scenarios/fig8.toml");
 const FIG9: &str = include_str!("../../../scenarios/fig9.toml");
 const FIG9_CIFAR: &str = include_str!("../../../scenarios/fig9_cifar.toml");
@@ -21,6 +26,9 @@ const WATCHDOG: &str = include_str!("../../../scenarios/watchdog_smoke.toml");
 fn every_committed_scenario_parses_and_validates() {
     for (name, src) in [
         ("fig3", FIG3),
+        ("fig4", FIG4),
+        ("fig5", FIG5),
+        ("fig6", FIG6),
         ("fig8", FIG8),
         ("fig9", FIG9),
         ("fig9_cifar", FIG9_CIFAR),
@@ -127,7 +135,7 @@ fn fig8_and_fig10_keep_scale_dependent_default_grids() {
 fn novel_scenarios_cover_combinations_no_binary_exposes() {
     let joint = ScenarioSpec::parse(JOINT).unwrap();
     assert_eq!(joint.kind, ScenarioKind::Grid);
-    let cells = expand_grid(&joint);
+    let cells = expand_grid(&joint, Scale::Quick);
     // 2 worker counts x 3 xi x 2 mechanisms, N outermost.
     assert_eq!(cells.len(), 12);
     assert_eq!(cells[0].num_workers, Some(10));
@@ -149,7 +157,7 @@ fn watchdog_smoke_hangs_with_a_small_timeout_and_no_retry() {
     let spec = ScenarioSpec::parse(WATCHDOG).unwrap();
     assert_eq!(spec.kind, ScenarioKind::Grid);
     assert_eq!(spec.base_config.faults.inject_hang_round, Some(2));
-    assert_eq!(expand_grid(&spec).len(), 1);
+    assert_eq!(expand_grid(&spec, Scale::Quick).len(), 1);
     let limits = spec.limits.expect("watchdog smoke needs [limits]");
     // The timeout must be small (CI waits it out) and retries disabled
     // (a hang would just hang again — CI asserts a single timely failure).
@@ -158,4 +166,65 @@ fn watchdog_smoke_hangs_with_a_small_timeout_and_no_retry() {
         .expect("watchdog smoke needs a cell timeout");
     assert!(timeout <= 5.0, "keep the smoke timeout CI-friendly");
     assert_eq!(limits.max_retries, Some(0));
+}
+
+const TINY_XI_SWEEP: &str = include_str!("fixtures/tiny_xi_sweep.toml");
+const TINY_SCALABILITY: &str = include_str!("fixtures/tiny_scalability.toml");
+
+/// Execute `src` at quick scale with `seeds` replicates, writing into a
+/// fresh temp results directory, and return `(file name, FNV-1a digest)`
+/// for every file the run wrote, sorted by name.
+fn result_digests(src: &str, seeds: usize) -> Vec<(String, u128)> {
+    let spec = ScenarioSpec::parse(src).unwrap();
+    let dir = std::env::temp_dir().join(format!(
+        "scenario_golden_{}_s{seeds}_{}",
+        spec.name,
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cli = CliOverrides {
+        seeds: Some(seeds),
+        results_dir: Some(dir.clone()),
+        ..CliOverrides::default()
+    };
+    let report = scenario::run::execute(&spec, Scale::Quick, &cli).unwrap();
+    assert!(report.is_clean(), "{}", report.failure_report());
+    let mut digests: Vec<(String, u128)> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let mut h = Fnv128::new();
+            h.update(&std::fs::read(&path).unwrap());
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, h.finish())
+        })
+        .collect();
+    digests.sort();
+    let _ = std::fs::remove_dir_all(&dir);
+    digests
+}
+
+/// Golden bytes of the two sweep kinds (the Fig. 8 and Fig. 10 shapes) on
+/// reduced specs, at one and two seeds. Any change to how these kinds run
+/// or render moves a digest.
+#[test]
+fn sweep_kinds_write_golden_csv_bytes() {
+    let mut actual = Vec::new();
+    for (src, seeds) in [
+        (TINY_XI_SWEEP, 1),
+        (TINY_XI_SWEEP, 2),
+        (TINY_SCALABILITY, 1),
+        (TINY_SCALABILITY, 2),
+    ] {
+        for (name, digest) in result_digests(src, seeds) {
+            actual.push(format!("s{seeds} {name} {digest:032x}"));
+        }
+    }
+    let expected = [
+        "s1 tiny_xi_sweep_xi_sweep.csv 35d12aff5942c73a1029a103f04505ca",
+        "s2 tiny_xi_sweep_xi_sweep.csv d45e929f0b7e305c71eeca5cd3d13c50",
+        "s1 tiny_scalability_scalability.csv c4b478627ad8a2d2414468e389b05be7",
+        "s2 tiny_scalability_scalability.csv f997fbb89e74eb322474ae2032757564",
+    ];
+    assert_eq!(actual, expected);
 }
