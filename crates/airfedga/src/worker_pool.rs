@@ -22,7 +22,7 @@
 //!   norm work at all.
 
 use fedml::model::Model;
-use fedml::optimizer::local_update_from_ws;
+use fedml::optimizer::local_update_ws;
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
 use fedml::workspace::Workspace;
@@ -109,15 +109,15 @@ impl WorkerPool {
         let sgd = &system.config.sgd;
         let cache_norms = self.norm_cache == NormCache::On;
         let train_one = |w: usize, slot: &mut WorkerSlot| {
-            slot.last_loss = local_update_from_ws(
+            slot.model.set_params(dispatch);
+            slot.last_loss = local_update_ws(
                 slot.model.as_mut(),
-                dispatch,
                 &system.shards[w],
                 sgd,
                 &mut slot.rng,
                 &mut slot.ws,
-                &mut slot.local,
             );
+            slot.model.params_into(&mut slot.local);
             slot.local_norm_sq = cache_norms.then(|| slot.local.norm_sq());
         };
         let muts = parallel::disjoint_muts(&mut self.slots, &self.sorted_members);

@@ -1,22 +1,18 @@
 //! Benchmarks of the batched training engine.
 //!
-//! * `gemm` — the GEMM kernels at layer shapes the workloads train,
-//!   including the packed `nt` variant (`nt_packed`, pack + `gemm_nn`
-//!   micro-kernel) against the dot-product-layout `nt` kernel.
+//! * `gemm` — the two GEMM kernels training runs, at layer shapes the
+//!   workloads train: `nn` (the forward pass on transposed weights and the
+//!   backward data pass) and `tn_acc` (the fused weight update).
 //! * `local_step` — the MLP local-training step (one epoch of mini-batch SGD
-//!   over a worker shard, batch 32): the batched zero-alloc engine vs. the
-//!   per-sample reference trainer from `bench::reference`. The quotient of
-//!   the two medians is the headline speedup this repo tracks (≥ 5× floor);
-//!   both medians are recorded in the JSON report.
-//! * `evaluate` — batched loss+accuracy evaluation vs. per-sample predict.
+//!   over a worker shard, batch 32) through the zero-alloc fused engine.
+//! * `evaluate` — batched loss+accuracy evaluation.
 //! * `full_round` — a short end-to-end run (4 rounds) of each of the five
 //!   mechanisms on a 12-worker system, plus `air_fedga_churn` /
 //!   `dynamic_churn` variants under ~10% worker churn with stragglers and a
 //!   deadline (the fault-path bookkeeping overhead).
-//! * `pool` — fork/join overhead of the persistent pool vs. the old
-//!   spawn-per-call design (8-task no-op fan-out; ≥ 5× floor), plus the
-//!   latency of a small-group parallel training round, the case the
-//!   persistent pool was built for.
+//! * `pool` — fork/join overhead of the persistent pool (8-task no-op
+//!   fan-out), plus the latency of a small-group parallel training round,
+//!   the case the persistent pool was built for.
 //!
 //! The experiment-level `run_grid` benchmarks live in `benches/grid.rs` (a
 //! separate binary so this one's code layout — and therefore its kernel
@@ -32,11 +28,10 @@ use airfedga::system::{FlMechanism, FlSystemConfig};
 use airfedga::worker_pool::{NormCache, WorkerPool};
 use baselines::{AirFedAvg, BaselineOptions, Dynamic, DynamicConfig, FedAvg, TiFl};
 use bench::bench_system;
-use bench::reference::mlp_local_update_reference;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use faults::FaultSpec;
 use fedml::dataset::SyntheticSpec;
-use fedml::linalg::{gemm_nn, gemm_nt, gemm_nt_packed, gemm_tn};
+use fedml::linalg::{gemm_nn, gemm_tn_acc};
 use fedml::model::{Mlp, Model};
 use fedml::optimizer::{local_update_ws, SgdConfig};
 use fedml::rng::Rng64;
@@ -47,31 +42,9 @@ fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");
     for &(m, n, k) in &[(32usize, 64usize, 64usize), (32, 128, 64), (256, 64, 128)] {
         let a: Vec<f64> = (0..m * k).map(|i| (i % 17) as f64 * 0.1).collect();
-        let bt: Vec<f64> = (0..n * k).map(|i| (i % 13) as f64 * 0.1).collect();
         let b: Vec<f64> = (0..k * n).map(|i| (i % 13) as f64 * 0.1).collect();
         let at: Vec<f64> = (0..k * m).map(|i| (i % 17) as f64 * 0.1).collect();
         let mut out = vec![0.0; m * n];
-        let mut pack = vec![0.0; k * n];
-        group.bench_with_input(
-            BenchmarkId::new("nt", format!("{m}x{n}x{k}")),
-            &0,
-            |be, _| {
-                be.iter(|| {
-                    gemm_nt(&a, &bt, &mut out, m, n, k);
-                    black_box(out[0])
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("nt_packed", format!("{m}x{n}x{k}")),
-            &0,
-            |be, _| {
-                be.iter(|| {
-                    gemm_nt_packed(&a, &bt, &mut out, m, n, k, &mut pack);
-                    black_box(out[0])
-                })
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("nn", format!("{m}x{n}x{k}")),
             &0,
@@ -83,11 +56,11 @@ fn bench_gemm(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("tn", format!("{m}x{n}x{k}")),
+            BenchmarkId::new("tn_acc", format!("{m}x{n}x{k}")),
             &0,
             |be, _| {
                 be.iter(|| {
-                    gemm_tn(&at, &b, &mut out, m, n, k);
+                    gemm_tn_acc(&at, &b, &mut out, m, n, k, -1e-3);
                     black_box(out[0])
                 })
             },
@@ -96,8 +69,7 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
-/// The shard + SGD configuration of the headline local-step comparison.
-fn local_step_fixture() -> (fedml::dataset::Dataset, SgdConfig, Mlp) {
+fn bench_local_step(c: &mut Criterion) {
     let mut rng = Rng64::seed_from(7);
     let shard = SyntheticSpec::mnist_like()
         .with_samples_per_class(16) // 160 samples -> 5 full minibatches of 32
@@ -107,33 +79,15 @@ fn local_step_fixture() -> (fedml::dataset::Dataset, SgdConfig, Mlp) {
         batch_size: 32,
         local_epochs: 1,
     };
-    let model = Mlp::paper_lr(shard.num_features(), shard.num_classes(), &mut rng);
-    (shard, cfg, model)
-}
-
-fn bench_local_step(c: &mut Criterion) {
+    let mut model = Mlp::paper_lr(shard.num_features(), shard.num_classes(), &mut rng);
+    let mut ws = Workspace::new();
     let mut group = c.benchmark_group("local_step");
-    {
-        let (shard, cfg, model) = local_step_fixture();
-        let mut m = model.clone();
-        let mut ws = Workspace::new();
-        group.bench_function("mlp_batched_b32", |b| {
-            b.iter(|| {
-                let mut rng = Rng64::seed_from(1);
-                black_box(local_update_ws(&mut m, &shard, &cfg, &mut rng, &mut ws))
-            })
-        });
-    }
-    {
-        let (shard, cfg, model) = local_step_fixture();
-        let mut m = model.clone();
-        group.bench_function("mlp_per_sample_reference_b32", |b| {
-            b.iter(|| {
-                let mut rng = Rng64::seed_from(1);
-                black_box(mlp_local_update_reference(&mut m, &shard, &cfg, &mut rng))
-            })
-        });
-    }
+    group.bench_function("mlp_batched_b32", |b| {
+        b.iter(|| {
+            let mut rng = Rng64::seed_from(1);
+            black_box(local_update_ws(&mut model, &shard, &cfg, &mut rng, &mut ws))
+        })
+    });
     group.finish();
 }
 
@@ -147,14 +101,6 @@ fn bench_evaluate(c: &mut Criterion) {
     let mut ws = Workspace::new();
     group.bench_function("batched_evaluate_ws", |b| {
         b.iter(|| black_box(model.evaluate_ws(&data, &mut ws)))
-    });
-    group.bench_function("per_sample_predict", |b| {
-        b.iter(|| {
-            let correct = (0..data.len())
-                .filter(|&i| model.predict(data.sample(i)) == data.label(i))
-                .count();
-            black_box(correct)
-        })
     });
     group.finish();
 }
@@ -228,20 +174,18 @@ fn bench_full_round(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fork/join overhead: the persistent pool vs. the old spawn-per-call
-/// design, on an 8-task no-op fan-out (pure scheduling cost), plus the
-/// latency of one small-group parallel training round — the workload whose
-/// per-round cost the spawn-per-call design dominated.
+/// Fork/join overhead of the persistent pool on an 8-task no-op fan-out
+/// (pure scheduling cost), plus the latency of one small-group parallel
+/// training round — the workload the pool exists for.
 ///
 /// The `pool` entry measures whatever `fork_join_chunks` costs at the
 /// host's thread configuration: on a multi-core host that is the
 /// queue-push + wake + latch protocol (order of microseconds); on a
 /// single-core host (or `PARALLEL_THREADS=1`) the pool spawns no workers
 /// and the entry measures the in-line fallback (order of nanoseconds).
-/// Both are the true cost the engines pay per fan-out on that host —
-/// the spawn-per-call entry, by contrast, pays thread start/join either
-/// way. Committed baselines record which case they measured (see the
-/// host note in the baseline's ROADMAP entry).
+/// Both are the true cost the engines pay per fan-out on that host.
+/// Committed baselines record which case they measured (see the host note
+/// in the baseline's ROADMAP entry).
 fn bench_pool(c: &mut Criterion) {
     let mut group = c.benchmark_group("pool");
     // Touch the pool once so worker-thread startup is not measured.
@@ -251,13 +195,6 @@ fn bench_pool(c: &mut Criterion) {
     group.bench_function("fork_join_noop_8/pool", |b| {
         b.iter(|| {
             parallel::fork_join_chunks(8, &|i| {
-                black_box(i);
-            })
-        })
-    });
-    group.bench_function("fork_join_noop_8/spawn_per_call", |b| {
-        b.iter(|| {
-            parallel::fork_join_chunks_spawned(8, &|i| {
                 black_box(i);
             })
         })

@@ -1,28 +1,19 @@
 //! # bench — shared fixtures for the Criterion benchmarks
 //!
-//! The actual benchmarks live under `benches/`:
+//! The benchmarks live under `benches/`:
 //!
-//! * `substrates.rs` — microbenchmarks of the building blocks (AirComp
-//!   aggregation, Algorithm-2 power control, Algorithm-3 grouping, EMD,
-//!   local SGD steps, the discrete-event queue).
-//! * `figures.rs` — one benchmark group per loss/accuracy figure
-//!   (Figs. 3–6, 8, 10): each iteration performs a scaled-down end-to-end
-//!   training run of the mechanisms the figure compares.
-//! * `tables.rs` — benchmark groups for Table I and Table III.
-//!
-//! * `engine.rs` — the batched-engine benchmarks: the GEMM kernels, the
-//!   batched vs. per-sample local training step, batched evaluation, and one
-//!   full round of every mechanism. Writes `target/bench-json/engine.json`
-//!   (copy into the repo root as `BENCH_<date>.json` to commit a baseline).
+//! * `engine.rs` — the batched-engine benchmarks: the two GEMM kernels
+//!   training runs, the local training step, batched evaluation, one full
+//!   round of every mechanism, and the persistent pool's fork/join cost.
+//!   Writes `target/bench-json/engine.json` (copy into the repo root as
+//!   `BENCH_<date>.json` to commit a baseline).
+//! * `grid.rs` — the experiment-level `run_grid` fan-out and the
+//!   `harness::execute` executor.
 //!
 //! This library crate provides the fixture builders so the bench binaries do
-//! not repeat setup code, plus [`reference`] — the original per-sample
-//! trainer kept as the correctness oracle and perf baseline for the batched
-//! engine.
+//! not repeat setup code.
 
 #![forbid(unsafe_code)]
-
-pub mod reference;
 
 use airfedga::system::{FlSystem, FlSystemConfig};
 use fedml::rng::Rng64;
@@ -42,10 +33,6 @@ pub fn bench_config(config: FlSystemConfig, num_workers: usize) -> FlSystemConfi
     cfg.test_per_class = 10;
     cfg
 }
-
-/// Number of rounds used by the end-to-end benchmark runs; small enough for
-/// Criterion iterations, large enough that the async schedule is exercised.
-pub const BENCH_ROUNDS: usize = 12;
 
 #[cfg(test)]
 mod tests {

@@ -1,34 +1,18 @@
 //! Cross-entropy loss for multi-class classification.
 //!
 //! The paper uses the standard softmax cross-entropy loss (Eq. (1)–(2)). This
-//! module provides the per-sample loss and its gradient with respect to the
-//! logits, which every model's backward pass starts from.
+//! module provides it batched: [`softmax_cross_entropy_batch`] turns a
+//! batch of logits into the scaled loss gradient every fused training step
+//! starts from, and [`eval_logits_batch`] scores a batch for evaluation.
 
-use crate::linalg::softmax;
-
-/// Softmax cross-entropy loss of a single sample.
-///
-/// Returns `-log p_label(x)` where `p` is the softmax of `logits`. The result
-/// is clamped away from infinity for numerical robustness.
-pub fn cross_entropy(logits: &[f64], label: usize) -> f64 {
+/// Per-sample loss and gradient with respect to the logits,
+/// `(-ln p_label, softmax(logits) − onehot(label))`, with `p_label` clamped
+/// away from zero: the head of the per-sample reference trainer (tests
+/// only).
+#[cfg(test)]
+pub(crate) fn cross_entropy_with_grad(logits: &[f64], label: usize) -> (f64, Vec<f64>) {
     assert!(label < logits.len(), "label out of range");
-    let p = softmax(logits);
-    -(p[label].max(1e-15)).ln()
-}
-
-/// Gradient of the softmax cross-entropy loss with respect to the logits:
-/// `softmax(logits) - onehot(label)`.
-pub fn cross_entropy_grad(logits: &[f64], label: usize) -> Vec<f64> {
-    assert!(label < logits.len(), "label out of range");
-    let mut g = softmax(logits);
-    g[label] -= 1.0;
-    g
-}
-
-/// Loss and gradient in one pass (avoids computing the softmax twice).
-pub fn cross_entropy_with_grad(logits: &[f64], label: usize) -> (f64, Vec<f64>) {
-    assert!(label < logits.len(), "label out of range");
-    let mut p = softmax(logits);
+    let mut p = crate::linalg::softmax(logits);
     let loss = -(p[label].max(1e-15)).ln();
     p[label] -= 1.0;
     (loss, p)
@@ -113,26 +97,40 @@ pub fn eval_logits_batch(logits: &[f64], labels: &[usize], classes: usize) -> (f
 mod tests {
     use super::*;
 
+    /// Summed loss of one row of logits through the evaluation path.
+    fn row_loss(logits: &[f64], label: usize) -> f64 {
+        eval_logits_batch(logits, &[label], logits.len()).0
+    }
+
+    /// The unscaled head delta `softmax − onehot` of one row.
+    fn row_delta(logits: &[f64], label: usize) -> Vec<f64> {
+        let mut delta = logits.to_vec();
+        softmax_cross_entropy_batch(&mut delta, &[label], logits.len(), 1.0);
+        delta
+    }
+
     #[test]
     fn loss_is_ln_k_for_uniform_logits() {
         let logits = [0.0; 10];
-        let l = cross_entropy(&logits, 3);
+        let l = row_loss(&logits, 3);
+        assert!((l - (10.0f64).ln()).abs() < 1e-12);
+        let mut head = logits;
+        let l = softmax_cross_entropy_batch(&mut head, &[3], 10, 1.0);
         assert!((l - (10.0f64).ln()).abs() < 1e-12);
     }
 
     #[test]
     fn loss_decreases_when_correct_logit_grows() {
         let mut logits = [0.0; 5];
-        let l0 = cross_entropy(&logits, 2);
+        let l0 = row_loss(&logits, 2);
         logits[2] = 3.0;
-        let l1 = cross_entropy(&logits, 2);
+        let l1 = row_loss(&logits, 2);
         assert!(l1 < l0);
     }
 
     #[test]
     fn gradient_sums_to_zero() {
-        let logits = [0.3, -1.2, 2.0, 0.0];
-        let g = cross_entropy_grad(&logits, 1);
+        let g = row_delta(&[0.3, -1.2, 2.0, 0.0], 1);
         let sum: f64 = g.iter().sum();
         assert!(sum.abs() < 1e-12);
     }
@@ -141,14 +139,14 @@ mod tests {
     fn gradient_matches_finite_difference() {
         let logits = vec![0.5, -0.2, 1.3];
         let label = 2;
-        let g = cross_entropy_grad(&logits, label);
+        let g = row_delta(&logits, label);
         let eps = 1e-6;
         for i in 0..logits.len() {
             let mut plus = logits.clone();
             plus[i] += eps;
             let mut minus = logits.clone();
             minus[i] -= eps;
-            let fd = (cross_entropy(&plus, label) - cross_entropy(&minus, label)) / (2.0 * eps);
+            let fd = (row_loss(&plus, label) - row_loss(&minus, label)) / (2.0 * eps);
             assert!(
                 (fd - g[i]).abs() < 1e-6,
                 "finite difference {fd} != analytic {g:?}[{i}]"
@@ -157,20 +155,9 @@ mod tests {
     }
 
     #[test]
-    fn combined_matches_separate_calls() {
-        let logits = [1.0, 2.0, -0.5];
-        let (l, g) = cross_entropy_with_grad(&logits, 0);
-        assert!((l - cross_entropy(&logits, 0)).abs() < 1e-12);
-        let g2 = cross_entropy_grad(&logits, 0);
-        for (a, b) in g.iter().zip(g2.iter()) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "label out of range")]
     fn rejects_out_of_range_label() {
-        let _ = cross_entropy(&[0.0, 0.0], 2);
+        let _ = softmax_cross_entropy_batch(&mut [0.0, 0.0], &[2], 2, 1.0);
     }
 
     #[test]
@@ -203,7 +190,7 @@ mod tests {
         let expect: f64 = labels
             .iter()
             .enumerate()
-            .map(|(r, &l)| cross_entropy(&logits[r * 3..(r + 1) * 3], l))
+            .map(|(r, &l)| cross_entropy_with_grad(&logits[r * 3..(r + 1) * 3], l).0)
             .sum();
         assert!((loss_sum - expect).abs() < 1e-12);
         assert_eq!(correct, 1); // row 0 correct, row 1 predicts class 1

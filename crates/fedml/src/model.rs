@@ -17,24 +17,26 @@
 //!
 //! # Batched execution
 //!
-//! Both models process a mini-batch as one `B × d` matrix per layer: the
-//! forward pass is a [`gemm_nt`] (`Z = X · Wᵀ`), the weight gradient a
-//! [`gemm_tn`] (`∇W = δᵀ · X`) and the backward data pass a [`gemm_nn`]
-//! (`δ_prev = δ · W`) — instead of the per-sample matvec + rank-one-update
-//! loop the first version of this crate used (kept as the reference
-//! implementation in the `bench` crate). All scratch memory comes from a
-//! caller-provided [`Workspace`], so the steady-state training loop
-//! ([`crate::optimizer::local_update_ws`]) performs **zero heap
-//! allocations**. The workspace-threaded entry points are
-//! [`Model::loss_and_gradient_ws`] (training) and [`Model::evaluate_ws`]
-//! (batched loss + accuracy in one pass); the allocation-per-call
-//! conveniences ([`Model::loss_and_gradient`], [`Model::loss`],
-//! [`Model::accuracy`]) wrap them.
+//! Both models process a mini-batch as one `B × d` matrix per layer, and each
+//! has exactly one training and one evaluation path:
+//!
+//! * [`Model::sgd_batch_ws`] — one fused mini-batch SGD step. The forward
+//!   pass is a [`gemm_nn`] on the transposed weights (`Z = X · Wᵀ`), the
+//!   backward data pass a [`gemm_nn`] (`δ_prev = δ · W`), and the update
+//!   accumulates `−γ · δᵀ · X` straight into the weights ([`gemm_tn_acc`]),
+//!   so no gradient is ever materialised.
+//! * [`Model::evaluate_ws`] — batched loss + accuracy in one forward pass.
+//!
+//! All scratch memory comes from a caller-provided [`Workspace`], so the
+//! steady-state training loop ([`crate::optimizer::local_update_ws`])
+//! performs **zero heap allocations**. The per-sample reference trainer
+//! (matvec + rank-one update per sample) lives in this module's tests, where
+//! it is the oracle both paths are checked against.
 
 use crate::dataset::Dataset;
 use crate::linalg::{
-    add_row_bias, col_sums, col_sums_acc, gemm_nn, gemm_nt, gemm_tn, gemm_tn_acc,
-    relu_backward_batch, relu_batch_in_place, transpose, Matrix,
+    add_row_bias, col_sums_acc, gemm_nn, gemm_tn_acc, relu_backward_batch, relu_batch_in_place,
+    transpose, Matrix,
 };
 use crate::loss::{eval_logits_batch, softmax_cross_entropy_batch};
 use crate::params::FlatParams;
@@ -75,48 +77,25 @@ pub trait Model: Send + Sync {
     /// mismatch.
     fn set_params(&mut self, params: &FlatParams);
 
-    /// Average loss and average gradient over the given sample indices of
-    /// `data`, written into `grad` (which must already have dimension
-    /// [`Model::num_params`]). All scratch memory is drawn from `ws`;
-    /// steady-state calls allocate nothing. Panics if `indices` is empty.
-    fn loss_and_gradient_ws(
-        &self,
-        data: &Dataset,
-        indices: &[usize],
-        ws: &mut Workspace,
-        grad: &mut FlatParams,
-    ) -> f64;
-
-    /// In-place SGD step `w ← w − γ · grad`, avoiding the
-    /// params/axpy/set_params round-trip (two full parameter copies).
-    fn sgd_step(&mut self, learning_rate: f64, grad: &FlatParams);
-
     /// One fused mini-batch SGD step: forward + backward + parameter update
-    /// in a single pass, returning the batch loss. The default implementation
-    /// materialises the gradient and calls [`Model::sgd_step`]; the batched
-    /// models override it to accumulate `−γ · δᵀ · X` directly into the
-    /// weights ([`gemm_tn_acc`]), never touching a gradient buffer.
+    /// in a single pass over the given sample indices of `data`, returning
+    /// the batch loss (evaluated at the weights before the step). The
+    /// update `−γ · δᵀ · X` is accumulated directly into the weights
+    /// ([`gemm_tn_acc`]), never touching a gradient buffer. All scratch
+    /// memory is drawn from `ws`; steady-state calls allocate nothing.
+    /// Panics if `indices` is empty.
     fn sgd_batch_ws(
         &mut self,
         data: &Dataset,
         indices: &[usize],
         learning_rate: f64,
         ws: &mut Workspace,
-    ) -> f64 {
-        let mut grad = FlatParams(ws.take(self.num_params()));
-        let loss = self.loss_and_gradient_ws(data, indices, ws, &mut grad);
-        self.sgd_step(learning_rate, &grad);
-        ws.give(grad.0);
-        loss
-    }
+    ) -> f64;
 
     /// Mean loss and accuracy over an entire dataset in one batched forward
     /// pass over the dataset's contiguous feature matrix (no per-sample
     /// gather, no gradient work).
     fn evaluate_ws(&self, data: &Dataset, ws: &mut Workspace) -> EvalStats;
-
-    /// Predicted class of a single feature vector.
-    fn predict(&self, x: &[f64]) -> usize;
 
     /// Clone into a boxed trait object (mechanisms keep one model instance
     /// per worker).
@@ -127,40 +106,6 @@ pub trait Model: Send + Sync {
         let mut out = FlatParams::zeros(self.num_params());
         self.params_into(&mut out);
         out
-    }
-
-    /// Average loss and average gradient over the given sample indices
-    /// (provided method; allocates a fresh workspace and gradient).
-    fn loss_and_gradient(&self, data: &Dataset, indices: &[usize]) -> (f64, FlatParams) {
-        let mut ws = Workspace::new();
-        let mut grad = FlatParams::zeros(self.num_params());
-        let loss = self.loss_and_gradient_ws(data, indices, &mut ws, &mut grad);
-        (loss, grad)
-    }
-
-    /// Average loss over an entire dataset (provided method).
-    fn loss(&self, data: &Dataset) -> f64 {
-        assert!(!data.is_empty(), "loss over an empty dataset");
-        self.evaluate_ws(data, &mut Workspace::new()).loss
-    }
-
-    /// Average gradient over the given indices (provided method).
-    fn gradient(&self, data: &Dataset, indices: &[usize]) -> FlatParams {
-        self.loss_and_gradient(data, indices).1
-    }
-
-    /// Full-batch gradient over the entire dataset (the `∇f_i(w)` of Eq. (4)).
-    fn full_gradient(&self, data: &Dataset) -> FlatParams {
-        let indices: Vec<usize> = (0..data.len()).collect();
-        self.gradient(data, &indices)
-    }
-
-    /// Classification accuracy on a dataset (provided method).
-    fn accuracy(&self, data: &Dataset) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        self.evaluate_ws(data, &mut Workspace::new()).accuracy
     }
 }
 
@@ -212,62 +157,6 @@ impl LogisticRegression {
         self
     }
 
-    /// The L2 regularisation strength.
-    pub fn l2(&self) -> f64 {
-        self.l2
-    }
-
-    /// The `classes × features` weight matrix (read-only; used by the
-    /// per-sample reference implementation in the bench harness).
-    pub fn weights(&self) -> &Matrix {
-        &self.weights
-    }
-
-    /// The per-class bias vector (read-only).
-    pub fn bias(&self) -> &[f64] {
-        &self.bias
-    }
-
-    /// Batched forward + loss head shared by the gradient and fused-update
-    /// paths: gathers the batch, computes `Z = X · Wᵀ + b` through the
-    /// k-major kernel, and transforms `Z` in place into the scaled head
-    /// delta. Returns `(x, labels, delta, summed unscaled loss)`; the three
-    /// buffers come from `ws` and must be given back.
-    fn forward_head(
-        &self,
-        data: &Dataset,
-        indices: &[usize],
-        ws: &mut Workspace,
-    ) -> (Vec<f64>, Vec<usize>, Vec<f64>, f64) {
-        assert!(!indices.is_empty(), "gradient over an empty batch");
-        assert_eq!(
-            data.num_features(),
-            self.num_features(),
-            "dataset feature dimension mismatch"
-        );
-        let k = self.num_classes();
-        let d = self.num_features();
-        let bsz = indices.len();
-        let (x, labels) = gather_batch(data, indices, ws);
-        let mut wt = ws.take(k * d);
-        transpose(self.weights.as_slice(), &mut wt, k, d);
-        let mut z = ws.take(bsz * k);
-        gemm_nn(&x, &wt, &mut z, bsz, k, d);
-        ws.give(wt);
-        add_row_bias(&mut z, &self.bias, bsz);
-        // Head: Z becomes delta = (softmax − onehot) / B in place.
-        let loss_sum = softmax_cross_entropy_batch(&mut z, &labels, k, 1.0 / bsz as f64);
-        (x, labels, z, loss_sum)
-    }
-
-    fn logits(&self, x: &[f64]) -> Vec<f64> {
-        let mut z = self.weights.matvec(x);
-        for (zi, b) in z.iter_mut().zip(self.bias.iter()) {
-            *zi += b;
-        }
-        z
-    }
-
     fn num_classes(&self) -> usize {
         self.bias.len()
     }
@@ -298,47 +187,6 @@ impl Model for LogisticRegression {
         self.bias.copy_from_slice(&params.0[wlen..]);
     }
 
-    fn loss_and_gradient_ws(
-        &self,
-        data: &Dataset,
-        indices: &[usize],
-        ws: &mut Workspace,
-        grad: &mut FlatParams,
-    ) -> f64 {
-        assert_eq!(grad.dim(), self.num_params(), "gradient size mismatch");
-        let k = self.num_classes();
-        let d = self.num_features();
-        let bsz = indices.len();
-
-        let (x, labels, z, loss_sum) = self.forward_head(data, indices, ws);
-
-        // Backward: ∇W = δᵀ · X, ∇b = column sums of δ, written straight into
-        // the flat gradient.
-        let (gw, gb) = grad.0.split_at_mut(k * d);
-        gemm_tn(&z, &x, gw, k, d, bsz);
-        col_sums(&z, bsz, gb);
-
-        let mut loss = loss_sum / bsz as f64;
-        // L2 regularisation on the weight matrix (not the bias).
-        if self.l2 > 0.0 {
-            loss += 0.5 * self.l2 * self.weights.frobenius_sq();
-            for (g, w) in gw.iter_mut().zip(self.weights.as_slice().iter()) {
-                *g += self.l2 * w;
-            }
-        }
-        ws.give(x);
-        ws.give(z);
-        ws.give_indices(labels);
-        loss
-    }
-
-    fn sgd_step(&mut self, learning_rate: f64, grad: &FlatParams) {
-        assert_eq!(grad.dim(), self.num_params(), "gradient size mismatch");
-        let wlen = self.weights.rows() * self.weights.cols();
-        crate::linalg::axpy(-learning_rate, &grad.0[..wlen], self.weights.as_mut_slice());
-        crate::linalg::axpy(-learning_rate, &grad.0[wlen..], &mut self.bias);
-    }
-
     fn sgd_batch_ws(
         &mut self,
         data: &Dataset,
@@ -346,11 +194,26 @@ impl Model for LogisticRegression {
         learning_rate: f64,
         ws: &mut Workspace,
     ) -> f64 {
+        assert!(!indices.is_empty(), "gradient over an empty batch");
+        assert_eq!(
+            data.num_features(),
+            self.num_features(),
+            "dataset feature dimension mismatch"
+        );
         let k = self.num_classes();
         let d = self.num_features();
         let bsz = indices.len();
 
-        let (x, labels, z, loss_sum) = self.forward_head(data, indices, ws);
+        // Forward: Z = X · Wᵀ + b through the k-major kernel.
+        let (x, labels) = gather_batch(data, indices, ws);
+        let mut wt = ws.take(k * d);
+        transpose(self.weights.as_slice(), &mut wt, k, d);
+        let mut z = ws.take(bsz * k);
+        gemm_nn(&x, &wt, &mut z, bsz, k, d);
+        ws.give(wt);
+        add_row_bias(&mut z, &self.bias, bsz);
+        // Head: Z becomes delta = (softmax − onehot) / B in place.
+        let loss_sum = softmax_cross_entropy_batch(&mut z, &labels, k, 1.0 / bsz as f64);
 
         let mut loss = loss_sum / bsz as f64;
         if self.l2 > 0.0 {
@@ -422,11 +285,6 @@ impl Model for LogisticRegression {
             loss,
             accuracy: correct as f64 / n as f64,
         }
-    }
-
-    fn predict(&self, x: &[f64]) -> usize {
-        let z = self.logits(x);
-        argmax(&z)
     }
 
     fn clone_model(&self) -> Box<dyn Model> {
@@ -518,11 +376,6 @@ impl Mlp {
         Self::new(num_features, &[256, 128, 64], num_classes, rng)
     }
 
-    /// Number of layers (hidden + output).
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Input feature dimensionality the network expects.
     pub fn num_features(&self) -> usize {
         self.num_features
@@ -533,17 +386,6 @@ impl Mlp {
         self.num_classes
     }
 
-    /// The `out × in` weight matrix of layer `l` (read-only; used by the
-    /// per-sample reference implementation in the bench harness).
-    pub fn layer_weights(&self, l: usize) -> &Matrix {
-        &self.layers[l].weights
-    }
-
-    /// The bias vector of layer `l` (read-only).
-    pub fn layer_bias(&self, l: usize) -> &[f64] {
-        &self.layers[l].bias
-    }
-
     /// Widest activation any batch row produces (used to size the ping-pong
     /// delta buffers).
     fn max_width(&self) -> usize {
@@ -552,11 +394,6 @@ impl Mlp {
             .map(|l| l.out_width())
             .max()
             .expect("an Mlp always has at least one layer")
-    }
-
-    /// Flat-gradient offset of layer `l`'s weight block.
-    fn grad_offset(&self, l: usize) -> usize {
-        self.layers[..l].iter().map(|x| x.num_params()).sum()
     }
 
     /// Transpose every layer's weights into one workspace buffer (O(q)) so
@@ -584,7 +421,7 @@ impl Mlp {
         wts
     }
 
-    /// Batched forward pass shared by the gradient and fused-update paths.
+    /// Batched forward pass of [`Model::sgd_batch_ws`].
     ///
     /// Gathers the batch, transposes every layer's weights once, and runs one
     /// GEMM per layer; on return `acts` holds every layer's activations in
@@ -678,91 +515,6 @@ impl Model for Mlp {
             offset += blen;
         }
         debug_assert_eq!(offset, params.dim());
-    }
-
-    fn loss_and_gradient_ws(
-        &self,
-        data: &Dataset,
-        indices: &[usize],
-        ws: &mut Workspace,
-        grad: &mut FlatParams,
-    ) -> f64 {
-        assert!(!indices.is_empty(), "gradient over an empty batch");
-        assert_eq!(
-            data.num_features(),
-            self.num_features,
-            "dataset feature dimension mismatch"
-        );
-        assert_eq!(grad.dim(), self.num_params(), "gradient size mismatch");
-        let bsz = indices.len();
-        let inv_n = 1.0 / bsz as f64;
-        let depth = self.layers.len();
-        let k = self.num_classes;
-
-        let (mut acts, bounds, labels, wts) = self.batch_forward(data, indices, ws);
-
-        // Head: logits → delta = (softmax − onehot) / B, in place.
-        let loss_sum = {
-            let logits = &mut acts[bounds[depth]..];
-            softmax_cross_entropy_batch(logits, &labels, k, inv_n)
-        };
-
-        // Backward pass with two ping-pong delta buffers.
-        let maxw = self.max_width();
-        let mut cur = ws.take(bsz * maxw);
-        let mut nxt = ws.take(bsz * maxw);
-        cur[..bsz * k].copy_from_slice(&acts[bounds[depth]..]);
-        for l in (0..depth).rev() {
-            let layer = &self.layers[l];
-            let (in_w, out_w) = (layer.in_width(), layer.out_width());
-            let input = &acts[bounds[l]..bounds[l + 1]];
-            let offset = self.grad_offset(l);
-            let wlen = out_w * in_w;
-            let (gw, gb) = grad.0[offset..offset + wlen + out_w].split_at_mut(wlen);
-            gemm_tn(&cur[..bsz * out_w], input, gw, out_w, in_w, bsz);
-            col_sums(&cur[..bsz * out_w], bsz, gb);
-            if l > 0 {
-                // δ_prev = δ · W, masked by the previous post-ReLU activation.
-                gemm_nn(
-                    &cur[..bsz * out_w],
-                    layer.weights.as_slice(),
-                    &mut nxt[..bsz * in_w],
-                    bsz,
-                    in_w,
-                    out_w,
-                );
-                relu_backward_batch(&mut nxt[..bsz * in_w], input);
-                std::mem::swap(&mut cur, &mut nxt);
-            }
-        }
-
-        ws.give(acts);
-        ws.give(wts);
-        ws.give(cur);
-        ws.give(nxt);
-        ws.give_indices(labels);
-        ws.give_indices(bounds);
-        loss_sum * inv_n
-    }
-
-    fn sgd_step(&mut self, learning_rate: f64, grad: &FlatParams) {
-        assert_eq!(grad.dim(), self.num_params(), "gradient size mismatch");
-        let mut offset = 0;
-        for l in &mut self.layers {
-            let wlen = l.weights.rows() * l.weights.cols();
-            crate::linalg::axpy(
-                -learning_rate,
-                &grad.0[offset..offset + wlen],
-                l.weights.as_mut_slice(),
-            );
-            offset += wlen;
-            crate::linalg::axpy(
-                -learning_rate,
-                &grad.0[offset..offset + l.bias.len()],
-                &mut l.bias,
-            );
-            offset += l.bias.len();
-        }
     }
 
     fn sgd_batch_ws(
@@ -914,44 +666,9 @@ impl Model for Mlp {
         }
     }
 
-    fn predict(&self, x: &[f64]) -> usize {
-        assert_eq!(x.len(), self.num_features, "feature dimension mismatch");
-        let depth = self.layers.len();
-        let mut cur = x.to_vec();
-        for (l, layer) in self.layers.iter().enumerate() {
-            let mut z = vec![0.0; layer.out_width()];
-            gemm_nt(
-                &cur,
-                layer.weights.as_slice(),
-                &mut z,
-                1,
-                layer.out_width(),
-                layer.in_width(),
-            );
-            for (zv, b) in z.iter_mut().zip(layer.bias.iter()) {
-                *zv += b;
-            }
-            if l + 1 < depth {
-                relu_batch_in_place(&mut z);
-            }
-            cur = z;
-        }
-        argmax(&cur)
-    }
-
     fn clone_model(&self) -> Box<dyn Model> {
         Box::new(self.clone())
     }
-}
-
-fn argmax(xs: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, &v) in xs.iter().enumerate() {
-        if v > xs[best] {
-            best = i;
-        }
-    }
-    best
 }
 
 /// Which model family an experiment uses. This mirrors the paper's
@@ -1002,16 +719,229 @@ impl ModelKind {
     }
 }
 
+/// The per-sample reference trainer: the algorithm the first version of this
+/// crate shipped. It walks the mini-batch one sample at a time — a matvec
+/// per layer on the way forward, a rank-one update per layer on the way
+/// back, fresh vectors for logits, softmax outputs, ReLU masks and
+/// activations at every step — and intentionally mirrors the mathematical
+/// definition rather than sharing code with the batched engine. The tests
+/// below check it against finite differences and hold
+/// [`Model::sgd_batch_ws`] and [`Model::evaluate_ws`] to it.
+#[cfg(test)]
+mod reference {
+    use super::{EvalStats, LogisticRegression, Mlp, Model};
+    use crate::dataset::Dataset;
+    use crate::linalg::{relu_in_place, Matrix};
+    use crate::loss::cross_entropy_with_grad;
+    use crate::params::FlatParams;
+
+    fn logreg_logits(model: &LogisticRegression, x: &[f64]) -> Vec<f64> {
+        let mut z = model.weights.matvec(x);
+        for (zi, b) in z.iter_mut().zip(model.bias.iter()) {
+            *zi += b;
+        }
+        z
+    }
+
+    /// Batch loss and averaged gradient of a [`LogisticRegression`] model,
+    /// including the L2 term on the weights.
+    pub(super) fn logreg_loss_and_gradient(
+        model: &LogisticRegression,
+        data: &Dataset,
+        indices: &[usize],
+    ) -> (f64, FlatParams) {
+        assert!(!indices.is_empty(), "gradient over an empty batch");
+        let weights = &model.weights;
+        let (k, d) = (weights.rows(), weights.cols());
+        let mut grad_w = Matrix::zeros(k, d);
+        let mut grad_b = vec![0.0; k];
+        let mut total_loss = 0.0;
+        let inv_n = 1.0 / indices.len() as f64;
+        for &i in indices {
+            let x = data.sample(i);
+            let (loss, dlogits) = cross_entropy_with_grad(&logreg_logits(model, x), data.label(i));
+            total_loss += loss;
+            grad_w.rank_one_update(inv_n, &dlogits, x);
+            for (gb, dl) in grad_b.iter_mut().zip(dlogits.iter()) {
+                *gb += inv_n * dl;
+            }
+        }
+        let mut loss = total_loss * inv_n;
+        if model.l2 > 0.0 {
+            loss += 0.5 * model.l2 * weights.frobenius_sq();
+            for (g, w) in grad_w
+                .as_mut_slice()
+                .iter_mut()
+                .zip(weights.as_slice().iter())
+            {
+                *g += model.l2 * w;
+            }
+        }
+        let mut flat = Vec::with_capacity(model.num_params());
+        flat.extend_from_slice(grad_w.as_slice());
+        flat.extend_from_slice(&grad_b);
+        (loss, FlatParams(flat))
+    }
+
+    /// Forward pass of one sample through an [`Mlp`], returning every layer
+    /// input, the ReLU masks and the final logits.
+    fn mlp_forward_trace(model: &Mlp, x: &[f64]) -> (Vec<Vec<f64>>, Vec<Vec<bool>>, Vec<f64>) {
+        let depth = model.layers.len();
+        let mut activations: Vec<Vec<f64>> = vec![x.to_vec()];
+        let mut masks: Vec<Vec<bool>> = Vec::with_capacity(depth.saturating_sub(1));
+        let mut current = x.to_vec();
+        for (l, layer) in model.layers.iter().enumerate() {
+            let mut z = layer.weights.matvec(&current);
+            for (zi, b) in z.iter_mut().zip(layer.bias.iter()) {
+                *zi += b;
+            }
+            if l + 1 == depth {
+                return (activations, masks, z);
+            }
+            masks.push(relu_in_place(&mut z));
+            activations.push(z.clone());
+            current = z;
+        }
+        unreachable!("an Mlp always has at least one layer");
+    }
+
+    /// Batch loss and averaged gradient of an [`Mlp`] (per-sample backprop
+    /// with rank-one weight updates).
+    pub(super) fn mlp_loss_and_gradient(
+        model: &Mlp,
+        data: &Dataset,
+        indices: &[usize],
+    ) -> (f64, FlatParams) {
+        assert!(!indices.is_empty(), "gradient over an empty batch");
+        let depth = model.layers.len();
+        let inv_n = 1.0 / indices.len() as f64;
+        let mut grads: Vec<(Matrix, Vec<f64>)> = model
+            .layers
+            .iter()
+            .map(|l| {
+                (
+                    Matrix::zeros(l.weights.rows(), l.weights.cols()),
+                    vec![0.0; l.bias.len()],
+                )
+            })
+            .collect();
+        let mut total_loss = 0.0;
+        for &i in indices {
+            let (activations, masks, logits) = mlp_forward_trace(model, data.sample(i));
+            let (loss, mut delta) = cross_entropy_with_grad(&logits, data.label(i));
+            total_loss += loss;
+            for l in (0..depth).rev() {
+                let (gw, gb) = &mut grads[l];
+                gw.rank_one_update(inv_n, &delta, &activations[l]);
+                for (b, dv) in gb.iter_mut().zip(delta.iter()) {
+                    *b += inv_n * dv;
+                }
+                if l > 0 {
+                    let mut prev = model.layers[l].weights.matvec_transposed(&delta);
+                    for (p, &m) in prev.iter_mut().zip(masks[l - 1].iter()) {
+                        if !m {
+                            *p = 0.0;
+                        }
+                    }
+                    delta = prev;
+                }
+            }
+        }
+        let mut flat = Vec::with_capacity(model.num_params());
+        for (gw, gb) in &grads {
+            flat.extend_from_slice(gw.as_slice());
+            flat.extend_from_slice(gb);
+        }
+        (total_loss * inv_n, FlatParams(flat))
+    }
+
+    /// Mean per-sample cross-entropy (plus `penalty`) and argmax accuracy of
+    /// the logits `logits_of` produces for every sample of `data`.
+    fn evaluate(data: &Dataset, penalty: f64, logits_of: impl Fn(&[f64]) -> Vec<f64>) -> EvalStats {
+        let mut loss_sum = 0.0;
+        let mut correct = 0usize;
+        for i in 0..data.len() {
+            let z = logits_of(data.sample(i));
+            loss_sum += cross_entropy_with_grad(&z, data.label(i)).0;
+            let mut best = 0;
+            for (c, &v) in z.iter().enumerate() {
+                if v > z[best] {
+                    best = c;
+                }
+            }
+            correct += usize::from(best == data.label(i));
+        }
+        EvalStats {
+            loss: loss_sum / data.len() as f64 + penalty,
+            accuracy: correct as f64 / data.len() as f64,
+        }
+    }
+
+    /// Per-sample evaluation of a [`LogisticRegression`] model.
+    pub(super) fn logreg_evaluate(model: &LogisticRegression, data: &Dataset) -> EvalStats {
+        let penalty = 0.5 * model.l2 * model.weights.frobenius_sq();
+        evaluate(data, penalty, |x| logreg_logits(model, x))
+    }
+
+    /// Per-sample evaluation of an [`Mlp`].
+    pub(super) fn mlp_evaluate(model: &Mlp, data: &Dataset) -> EvalStats {
+        evaluate(data, 0.0, |x| mlp_forward_trace(model, x).2)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::{
+        logreg_evaluate, logreg_loss_and_gradient, mlp_evaluate, mlp_loss_and_gradient,
+    };
     use super::*;
     use crate::dataset::SyntheticSpec;
+
+    const CASES: usize = 24;
 
     fn toy_data() -> Dataset {
         let mut rng = Rng64::seed_from(99);
         SyntheticSpec::mnist_like()
             .with_samples_per_class(8)
             .generate(&mut rng)
+    }
+
+    /// Overwrite every parameter of `model` with a `N(0, std²)` draw, so
+    /// gradients and updates are non-trivial.
+    fn randomise(model: &mut dyn Model, std: f64, rng: &mut Rng64) {
+        let mut p = model.params();
+        for v in p.0.iter_mut() {
+            *v = rng.gaussian_with(0.0, std);
+        }
+        model.set_params(&p);
+    }
+
+    /// The reference step `w − γ · ∇_ref` as a flat vector.
+    fn reference_step(model: &dyn Model, grad: &FlatParams, learning_rate: f64) -> FlatParams {
+        let mut expected = model.params();
+        expected.axpy(-learning_rate, grad);
+        expected
+    }
+
+    fn assert_close(a: &FlatParams, b: &FlatParams, tol: f64, what: &str) {
+        assert_eq!(a.dim(), b.dim(), "{what}: dimension");
+        for (c, (x, y)) in a.0.iter().zip(b.0.iter()).enumerate() {
+            assert!((x - y).abs() < tol, "{what}: coord {c}: {x} vs {y}");
+        }
+    }
+
+    fn assert_eval_matches(got: EvalStats, want: EvalStats, what: &str) {
+        assert!(
+            (got.loss - want.loss).abs() < 1e-10,
+            "{what}: loss {} vs reference {}",
+            got.loss,
+            want.loss
+        );
+        assert_eq!(got.accuracy, want.accuracy, "{what}: accuracy");
+    }
+
+    fn all_indices(data: &Dataset) -> Vec<usize> {
+        (0..data.len()).collect()
     }
 
     #[test]
@@ -1040,37 +970,41 @@ mod tests {
         assert_eq!(m.params(), q);
     }
 
+    /// Central finite differences of the reference batch loss at `p`.
+    fn finite_difference<M: Model + Clone>(
+        model: &M,
+        p: &FlatParams,
+        coord: usize,
+        loss: impl Fn(&M) -> f64,
+    ) -> f64 {
+        let eps = 1e-5;
+        let mut plus = p.clone();
+        plus.0[coord] += eps;
+        let mut minus = p.clone();
+        minus.0[coord] -= eps;
+        let mut mp = model.clone();
+        mp.set_params(&plus);
+        let mut mm = model.clone();
+        mm.set_params(&minus);
+        (loss(&mp) - loss(&mm)) / (2.0 * eps)
+    }
+
     #[test]
     fn logreg_gradient_matches_finite_difference() {
         let data = toy_data();
         let mut rng = Rng64::seed_from(2);
         let mut m = LogisticRegression::new(data.num_features(), data.num_classes()).with_l2(0.01);
-        // Random starting point so gradients are non-trivial.
-        let mut p = m.params();
-        for v in p.0.iter_mut() {
-            *v = rng.gaussian_with(0.0, 0.1);
-        }
-        m.set_params(&p);
+        randomise(&mut m, 0.1, &mut rng);
+        let p = m.params();
         let indices: Vec<usize> = (0..10).collect();
-        let (_, g) = m.loss_and_gradient(&data, &indices);
-        let eps = 1e-5;
-        // Spot-check a handful of coordinates. Finite differences use the
-        // batch loss, so compute it through loss_and_gradient (the loss()
-        // shortcut evaluates the whole dataset).
-        let batch_loss = |model: &LogisticRegression| model.loss_and_gradient(&data, &indices).0;
+        let (_, g) = logreg_loss_and_gradient(&m, &data, &indices);
+        let batch_loss =
+            |model: &LogisticRegression| logreg_loss_and_gradient(model, &data, &indices).0;
         for &coord in &[0usize, 7, 63, 100, p.dim() - 1] {
-            let mut plus = p.clone();
-            plus.0[coord] += eps;
-            let mut minus = p.clone();
-            minus.0[coord] -= eps;
-            let mut mp = m.clone();
-            mp.set_params(&plus);
-            let mut mm = m.clone();
-            mm.set_params(&minus);
-            let fd = (batch_loss(&mp) - batch_loss(&mm)) / (2.0 * eps);
+            let fd = finite_difference(&m, &p, coord, batch_loss);
             assert!(
                 (fd - g.0[coord]).abs() < 1e-5,
-                "coord {coord}: fd {fd} vs analytic {}",
+                "coord {coord}: fd {fd} vs reference {}",
                 g.0[coord]
             );
         }
@@ -1083,22 +1017,13 @@ mod tests {
         let m = Mlp::new(data.num_features(), &[6], data.num_classes(), &mut rng);
         let p = m.params();
         let indices: Vec<usize> = (0..6).collect();
-        let (_, g) = m.loss_and_gradient(&data, &indices);
-        let eps = 1e-5;
-        let batch_loss = |model: &Mlp| model.loss_and_gradient(&data, &indices).0;
+        let (_, g) = mlp_loss_and_gradient(&m, &data, &indices);
+        let batch_loss = |model: &Mlp| mlp_loss_and_gradient(model, &data, &indices).0;
         for &coord in &[0usize, 11, 101, p.dim() - 1] {
-            let mut plus = p.clone();
-            plus.0[coord] += eps;
-            let mut minus = p.clone();
-            minus.0[coord] -= eps;
-            let mut mp = m.clone();
-            mp.set_params(&plus);
-            let mut mm = m.clone();
-            mm.set_params(&minus);
-            let fd = (batch_loss(&mp) - batch_loss(&mm)) / (2.0 * eps);
+            let fd = finite_difference(&m, &p, coord, batch_loss);
             assert!(
                 (fd - g.0[coord]).abs() < 1e-4,
-                "coord {coord}: fd {fd} vs analytic {}",
+                "coord {coord}: fd {fd} vs reference {}",
                 g.0[coord]
             );
         }
@@ -1107,28 +1032,30 @@ mod tests {
     #[test]
     fn gradient_descent_reduces_loss_and_beats_chance() {
         let data = toy_data();
+        let mut ws = Workspace::new();
         let mut m = LogisticRegression::new(data.num_features(), data.num_classes());
-        let initial_loss = m.loss(&data);
-        let indices: Vec<usize> = (0..data.len()).collect();
+        let initial_loss = m.evaluate_ws(&data, &mut ws).loss;
+        let indices = all_indices(&data);
         for _ in 0..60 {
-            let g = m.gradient(&data, &indices);
-            m.sgd_step(0.5, &g);
+            m.sgd_batch_ws(&data, &indices, 0.5, &mut ws);
         }
-        assert!(m.loss(&data) < initial_loss * 0.5);
-        assert!(m.accuracy(&data) > 0.5, "accuracy {}", m.accuracy(&data));
+        let stats = m.evaluate_ws(&data, &mut ws);
+        assert!(stats.loss < initial_loss * 0.5);
+        assert!(stats.accuracy > 0.5, "accuracy {}", stats.accuracy);
     }
 
     #[test]
     fn mlp_trains_above_chance() {
         let data = toy_data();
         let mut rng = Rng64::seed_from(4);
+        let mut ws = Workspace::new();
         let mut m = Mlp::new(data.num_features(), &[32], data.num_classes(), &mut rng);
-        let indices: Vec<usize> = (0..data.len()).collect();
+        let indices = all_indices(&data);
         for _ in 0..80 {
-            let g = m.gradient(&data, &indices);
-            m.sgd_step(0.2, &g);
+            m.sgd_batch_ws(&data, &indices, 0.2, &mut ws);
         }
-        assert!(m.accuracy(&data) > 0.5, "accuracy {}", m.accuracy(&data));
+        let accuracy = m.evaluate_ws(&data, &mut ws).accuracy;
+        assert!(accuracy > 0.5, "accuracy {accuracy}");
     }
 
     #[test]
@@ -1139,49 +1066,95 @@ mod tests {
         let indices: Vec<usize> = (0..24).collect();
         let lr = 0.21;
 
-        // MLP: fused path vs materialised gradient + step.
+        // MLP: fused step vs the reference gradient and an explicit step.
         let mut fused = Mlp::new(data.num_features(), &[11, 7], data.num_classes(), &mut rng);
-        let mut split = fused.clone();
-        let loss_f = fused.sgd_batch_ws(&data, &indices, lr, &mut ws);
-        let (loss_s, g) = split.loss_and_gradient(&data, &indices);
-        split.sgd_step(lr, &g);
-        assert!((loss_f - loss_s).abs() < 1e-12);
-        for (a, b) in fused.params().0.iter().zip(split.params().0.iter()) {
-            assert!((a - b).abs() < 1e-12, "fused {a} vs split {b}");
-        }
+        let (loss_ref, g) = mlp_loss_and_gradient(&fused, &data, &indices);
+        let expected = reference_step(&fused, &g, lr);
+        let loss = fused.sgd_batch_ws(&data, &indices, lr, &mut ws);
+        assert!((loss - loss_ref).abs() < 1e-12);
+        assert_close(&fused.params(), &expected, 1e-12, "mlp");
 
         // Logistic regression with L2 (exercises the scale-then-accumulate
         // order of the fused regulariser).
         let mut lr_fused =
             LogisticRegression::new(data.num_features(), data.num_classes()).with_l2(0.03);
-        let mut p = lr_fused.params();
-        for v in p.0.iter_mut() {
-            *v = rng.gaussian_with(0.0, 0.2);
-        }
-        lr_fused.set_params(&p);
-        let mut lr_split = lr_fused.clone();
-        let loss_f = lr_fused.sgd_batch_ws(&data, &indices, lr, &mut ws);
-        let (loss_s, g) = lr_split.loss_and_gradient(&data, &indices);
-        lr_split.sgd_step(lr, &g);
-        assert!((loss_f - loss_s).abs() < 1e-12);
-        for (a, b) in lr_fused.params().0.iter().zip(lr_split.params().0.iter()) {
-            assert!((a - b).abs() < 1e-12, "fused {a} vs split {b}");
+        randomise(&mut lr_fused, 0.2, &mut rng);
+        let (loss_ref, g) = logreg_loss_and_gradient(&lr_fused, &data, &indices);
+        let expected = reference_step(&lr_fused, &g, lr);
+        let loss = lr_fused.sgd_batch_ws(&data, &indices, lr, &mut ws);
+        assert!((loss - loss_ref).abs() < 1e-12);
+        assert_close(&lr_fused.params(), &expected, 1e-12, "logreg");
+    }
+
+    /// One fused step of logistic regression (with or without L2) equals the
+    /// per-sample reference step `w − γ · ∇_ref` to 1e-10 on random models,
+    /// batches, batch sizes and learning rates, and batched evaluation of
+    /// the updated model equals the per-sample reference forward pass.
+    #[test]
+    fn batched_logreg_matches_per_sample_reference() {
+        let mut ws = Workspace::new();
+        for case in 0..CASES {
+            let mut rng = Rng64::seed_from(8000 + case as u64);
+            let data = SyntheticSpec::mnist_like()
+                .with_samples_per_class(4 + rng.index(6))
+                .generate(&mut rng);
+            let l2 = if rng.uniform() < 0.5 {
+                0.0
+            } else {
+                rng.uniform_range(1e-4, 0.1)
+            };
+            let mut model =
+                LogisticRegression::new(data.num_features(), data.num_classes()).with_l2(l2);
+            randomise(&mut model, 0.3, &mut rng);
+            let bsz = 1 + rng.index(data.len());
+            let indices = rng.sample_indices(data.len(), bsz);
+            let lr = rng.uniform_range(0.01, 1.0);
+            let (loss_ref, grad_ref) = logreg_loss_and_gradient(&model, &data, &indices);
+            let expected = reference_step(&model, &grad_ref, lr);
+            let loss = model.sgd_batch_ws(&data, &indices, lr, &mut ws);
+            assert!(
+                (loss - loss_ref).abs() < 1e-10,
+                "case {case}: loss {loss} vs reference {loss_ref}"
+            );
+            assert_close(&model.params(), &expected, 1e-10, &format!("case {case}"));
+            assert_eval_matches(
+                model.evaluate_ws(&data, &mut ws),
+                logreg_evaluate(&model, &data),
+                &format!("case {case}"),
+            );
         }
     }
 
+    /// The same property for random-depth MLPs (zero to two hidden layers of
+    /// random widths).
     #[test]
-    fn sgd_step_matches_manual_axpy_roundtrip() {
-        let data = toy_data();
-        let mut rng = Rng64::seed_from(12);
-        let mut a = Mlp::new(data.num_features(), &[9, 7], data.num_classes(), &mut rng);
-        let mut b = a.clone();
-        let indices: Vec<usize> = (0..16).collect();
-        let g = a.gradient(&data, &indices);
-        a.sgd_step(0.37, &g);
-        let mut p = b.params();
-        p.axpy(-0.37, &g);
-        b.set_params(&p);
-        assert_eq!(a.params(), b.params());
+    fn batched_mlp_matches_per_sample_reference() {
+        let mut ws = Workspace::new();
+        for case in 0..CASES {
+            let mut rng = Rng64::seed_from(9000 + case as u64);
+            let data = SyntheticSpec::mnist_like()
+                .with_samples_per_class(4 + rng.index(6))
+                .generate(&mut rng);
+            let depth = rng.index(3);
+            let hidden: Vec<usize> = (0..depth).map(|_| 3 + rng.index(20)).collect();
+            let mut model = Mlp::new(data.num_features(), &hidden, data.num_classes(), &mut rng);
+            let bsz = 1 + rng.index(data.len());
+            let indices = rng.sample_indices(data.len(), bsz);
+            let lr = rng.uniform_range(0.01, 1.0);
+            let (loss_ref, grad_ref) = mlp_loss_and_gradient(&model, &data, &indices);
+            let expected = reference_step(&model, &grad_ref, lr);
+            let loss = model.sgd_batch_ws(&data, &indices, lr, &mut ws);
+            assert!(
+                (loss - loss_ref).abs() < 1e-10,
+                "case {case}: loss {loss} vs reference {loss_ref}"
+            );
+            assert_close(&model.params(), &expected, 1e-10, &format!("case {case}"));
+            assert_eval_matches(
+                model.evaluate_ws(&data, &mut ws),
+                mlp_evaluate(&model, &data),
+                &format!("case {case}"),
+            );
+        }
     }
 
     #[test]
@@ -1189,52 +1162,55 @@ mod tests {
         let data = toy_data();
         let m = LogisticRegression::new(data.num_features(), data.num_classes());
         let expected = (data.num_classes() as f64).ln();
-        assert!((m.loss(&data) - expected).abs() < 1e-9);
+        assert!((m.evaluate_ws(&data, &mut Workspace::new()).loss - expected).abs() < 1e-9);
     }
 
     #[test]
     fn evaluate_matches_loss_and_accuracy() {
         let data = toy_data();
         let mut rng = Rng64::seed_from(21);
+        let mut ws = Workspace::new();
         let m = Mlp::new(data.num_features(), &[12], data.num_classes(), &mut rng);
-        let stats = m.evaluate_ws(&data, &mut Workspace::new());
-        assert!((stats.loss - m.loss(&data)).abs() < 1e-12);
-        assert!((stats.accuracy - m.accuracy(&data)).abs() < 1e-12);
-        // Per-sample predictions agree with the batched accuracy.
-        let correct = (0..data.len())
-            .filter(|&i| m.predict(data.sample(i)) == data.label(i))
-            .count();
-        assert!((stats.accuracy - correct as f64 / data.len() as f64).abs() < 1e-12);
+        assert_eval_matches(
+            m.evaluate_ws(&data, &mut ws),
+            mlp_evaluate(&m, &data),
+            "mlp",
+        );
+        let mut lr = LogisticRegression::new(data.num_features(), data.num_classes()).with_l2(0.05);
+        randomise(&mut lr, 0.2, &mut rng);
+        assert_eval_matches(
+            lr.evaluate_ws(&data, &mut ws),
+            logreg_evaluate(&lr, &data),
+            "logreg",
+        );
     }
 
     #[test]
     fn evaluation_includes_l2_term_like_training_loss() {
         let data = toy_data();
         let mut rng = Rng64::seed_from(22);
+        let mut ws = Workspace::new();
         let mut m = LogisticRegression::new(data.num_features(), data.num_classes()).with_l2(0.05);
-        let mut p = m.params();
-        for v in p.0.iter_mut() {
-            *v = rng.gaussian_with(0.0, 0.2);
-        }
-        m.set_params(&p);
-        let all: Vec<usize> = (0..data.len()).collect();
-        let (train_loss, _) = m.loss_and_gradient(&data, &all);
-        assert!((m.loss(&data) - train_loss).abs() < 1e-10);
+        randomise(&mut m, 0.2, &mut rng);
+        let eval_loss = m.evaluate_ws(&data, &mut ws).loss;
+        // The step returns the loss at the weights before it moves them.
+        let train_loss = m.sgd_batch_ws(&data, &all_indices(&data), 0.1, &mut ws);
+        assert!((eval_loss - train_loss).abs() < 1e-10);
     }
 
     #[test]
     fn workspace_pool_stabilises_after_first_batch() {
         let data = toy_data();
         let mut rng = Rng64::seed_from(23);
-        let m = Mlp::new(data.num_features(), &[10, 6], data.num_classes(), &mut rng);
+        let start = Mlp::new(data.num_features(), &[10, 6], data.num_classes(), &mut rng);
         let mut ws = Workspace::new();
-        let mut grad = FlatParams::zeros(m.num_params());
         let indices: Vec<usize> = (0..32).collect();
-        let l1 = m.loss_and_gradient_ws(&data, &indices, &mut ws, &mut grad);
+        let mut first = start.clone();
+        let l1 = first.sgd_batch_ws(&data, &indices, 0.1, &mut ws);
         let pooled = ws.pooled_buffers();
-        let g1 = grad.clone();
         for _ in 0..5 {
-            let l = m.loss_and_gradient_ws(&data, &indices, &mut ws, &mut grad);
+            let mut m = start.clone();
+            let l = m.sgd_batch_ws(&data, &indices, 0.1, &mut ws);
             assert_eq!(
                 l.to_bits(),
                 l1.to_bits(),
@@ -1245,8 +1221,8 @@ mod tests {
                 pooled,
                 "steady state must not grow the pool"
             );
+            assert_eq!(m.params(), first.params());
         }
-        assert_eq!(grad, g1);
     }
 
     #[test]

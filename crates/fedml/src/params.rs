@@ -63,18 +63,6 @@ impl FlatParams {
         }
     }
 
-    /// Return `self - other`.
-    pub fn sub(&self, other: &FlatParams) -> FlatParams {
-        assert_eq!(self.dim(), other.dim(), "FlatParams dimension mismatch");
-        FlatParams(
-            self.0
-                .iter()
-                .zip(other.0.iter())
-                .map(|(a, b)| a - b)
-                .collect(),
-        )
-    }
-
     /// Squared L2 distance to another vector.
     pub fn dist_sq(&self, other: &FlatParams) -> f64 {
         assert_eq!(self.dim(), other.dim(), "FlatParams dimension mismatch");
@@ -99,11 +87,6 @@ impl FlatParams {
             out.axpy(*w, p);
         }
         out
-    }
-
-    /// Maximum absolute coordinate (useful for debugging divergence).
-    pub fn max_abs(&self) -> f64 {
-        self.0.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
     }
 
     /// True if every coordinate is finite.
@@ -157,16 +140,8 @@ mod tests {
     }
 
     #[test]
-    fn sub_then_norm_matches_dist() {
-        let a = FlatParams(vec![1.0, -1.0]);
-        let b = FlatParams(vec![4.0, 3.0]);
-        assert_eq!(a.sub(&b).norm_sq(), a.dist_sq(&b));
-    }
-
-    #[test]
-    fn max_abs_and_finiteness() {
+    fn is_finite_flags_nan() {
         let p = FlatParams(vec![-3.0, 2.0, 0.5]);
-        assert_eq!(p.max_abs(), 3.0);
         assert!(p.is_finite());
         let q = FlatParams(vec![f64::NAN]);
         assert!(!q.is_finite());

@@ -1,7 +1,7 @@
 //! Reusable scratch buffers for the batched training engine.
 //!
-//! Every call into the batched model code (`loss_and_gradient_ws`,
-//! `evaluate_ws`, `local_update_ws`) threads a [`Workspace`] through the hot
+//! Every call into the batched model code (`sgd_batch_ws`, `evaluate_ws`,
+//! `local_update_ws`) threads a [`Workspace`] through the hot
 //! path. The workspace is a small pool of `Vec<f64>` / `Vec<usize>` buffers
 //! that are checked out for the duration of one forward/backward pass and
 //! returned afterwards, so the steady-state training loop performs **zero

@@ -18,7 +18,7 @@
 //! thread start/join per call) the steady-state cost of a fan-out is a queue
 //! push, a condvar wake and one uncontended latch — which is what makes
 //! per-round parallelism profitable even for very small groups (see the
-//! `pool` bench group).
+//! `pool` bench group's `small_group_round_2`).
 //!
 //! ## Nesting rules
 //!
@@ -204,25 +204,6 @@ pub fn fork_join_chunks<F: Fn(usize) + Sync>(chunks: usize, run: &F) {
     telemetry::metrics::POOL_FORK_JOINS.add(1);
     telemetry::metrics::POOL_THREADS.set_max(max_threads() as u64);
     pool::fork_join(chunks, run)
-}
-
-/// Reference implementation of [`fork_join_chunks`] that spawns one scoped OS
-/// thread per chunk and joins them — the crate's pre-pool behaviour. Kept
-/// (not used by any engine path) as the baseline the `pool` benchmark group
-/// measures the persistent pool's amortised overhead against.
-pub fn fork_join_chunks_spawned<F: Fn(usize) + Sync>(chunks: usize, run: &F) {
-    if chunks <= 1 {
-        for c in 0..chunks {
-            run(c);
-        }
-        return;
-    }
-    std::thread::scope(|s| {
-        for c in 1..chunks {
-            s.spawn(move || run(c));
-        }
-        run(0);
-    });
 }
 
 /// The persistent pool internals: the one module that needs `unsafe` (the
@@ -717,16 +698,6 @@ mod tests {
         }
         // Zero chunks is a no-op.
         fork_join_chunks(0, &|_| panic!("must not run"));
-    }
-
-    #[test]
-    fn spawned_reference_runs_every_chunk() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let total = AtomicUsize::new(0);
-        fork_join_chunks_spawned(8, &|c| {
-            total.fetch_add(c + 1, Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 36);
     }
 
     #[test]

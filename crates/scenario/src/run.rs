@@ -310,6 +310,10 @@ pub fn execute(
     };
     telemetry::progress::set_mode(progress_mode);
     if telemetry_dir.is_some() {
+        // The counters are process-global: start every run from zero so a
+        // long-lived host (the job server) never writes an earlier run's
+        // counts into this run's `metrics.json`.
+        telemetry::metrics::reset();
         telemetry::enable();
     }
 

@@ -69,7 +69,8 @@ pub fn enabled() -> bool {
 
 /// Turn telemetry recording on. Counters, histograms and spans start
 /// accumulating from their current state; call [`metrics::reset`] first for a
-/// clean slate when re-enabling inside one process (tests).
+/// clean slate when re-enabling inside one process (the scenario executor
+/// does, once per run).
 pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
 }

@@ -283,16 +283,10 @@ pub static HARNESS_RETRIES: Counter = Counter::new("harness.retries", Plane::Log
 /// that disagree on this counter already disagree on their failure reports.
 pub static WATCHDOG_CANCELS: Counter = Counter::new("watchdog.cancels", Plane::Logical);
 
-/// GEMM calls by kernel shape-class.
+/// `A·B` GEMM calls (the forward pass and the backward data pass).
 pub static GEMM_NN: Counter = Counter::new("gemm.nn", Plane::Logical);
-/// `Aᵀ·B` GEMM calls.
-pub static GEMM_TN: Counter = Counter::new("gemm.tn", Plane::Logical);
-/// Accumulating `Aᵀ·B` GEMM calls.
+/// Accumulating `Aᵀ·B` GEMM calls (the fused weight update).
 pub static GEMM_TN_ACC: Counter = Counter::new("gemm.tn_acc", Plane::Logical);
-/// `A·Bᵀ` GEMM calls.
-pub static GEMM_NT: Counter = Counter::new("gemm.nt", Plane::Logical);
-/// Pre-packed `A·Bᵀ` GEMM calls.
-pub static GEMM_NT_PACKED: Counter = Counter::new("gemm.nt_packed", Plane::Logical);
 
 /// Distribution of GEMM problem volumes (`m·n·k`) across all kernels.
 pub static GEMM_MNK: Histogram = Histogram::new("gemm.mnk", Plane::Logical);
@@ -301,7 +295,7 @@ pub static REPLICATE_US: Histogram = Histogram::new("span.replicate_us", Plane::
 /// Wall-clock duration of `round` spans, microseconds.
 pub static ROUND_US: Histogram = Histogram::new("span.round_us", Plane::Timing);
 
-static ALL_COUNTERS: [&Counter; 16] = [
+static ALL_COUNTERS: [&Counter; 13] = [
     &ENGINE_ROUNDS,
     &ENGINE_PARTICIPANTS,
     &ENGINE_PARTICIPANTS_FILTERED,
@@ -314,10 +308,7 @@ static ALL_COUNTERS: [&Counter; 16] = [
     &HARNESS_RETRIES,
     &WATCHDOG_CANCELS,
     &GEMM_NN,
-    &GEMM_TN,
     &GEMM_TN_ACC,
-    &GEMM_NT,
-    &GEMM_NT_PACKED,
 ];
 
 static ALL_GAUGES: [&Gauge; 1] = [&POOL_THREADS];
@@ -339,7 +330,7 @@ pub fn histograms() -> &'static [&'static Histogram] {
     &ALL_HISTOGRAMS
 }
 
-/// Reset every metric to zero (tests and in-process re-enables).
+/// Reset every metric to zero (the start of every telemetry-enabled run).
 pub fn reset() {
     for c in counters() {
         c.reset();

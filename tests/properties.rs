@@ -1,7 +1,9 @@
 //! Property-based tests over the core invariants of the reproduction:
 //! partitioning, over-the-air aggregation, power control, EMD, the grouping
-//! constraint, the Lemma-1/Theorem-1 bounds, and the batched training
-//! engine's equivalence to the per-sample reference.
+//! constraint, the Lemma-1/Theorem-1 bounds, and parallel ≡ sequential
+//! training. (The batched training engine's equivalence to the per-sample
+//! reference is checked in `fedml`'s `model` tests, where the reference
+//! lives.)
 //!
 //! The build environment has no crates.io access (so no `proptest`); instead
 //! each property samples its inputs from a seeded [`Rng64`], which keeps the
@@ -12,7 +14,6 @@ use air_fedga::airfedga::convergence::{lemma1_envelope, lemma1_recursion};
 use air_fedga::airfedga::mechanism::{run_group_async, AggregationMode, EngineOptions};
 use air_fedga::airfedga::system::FlSystemConfig;
 use air_fedga::fedml::dataset::SyntheticSpec;
-use air_fedga::fedml::model::{LogisticRegression, Mlp, Model};
 use air_fedga::fedml::params::FlatParams;
 use air_fedga::fedml::partition::{LabelDistribution, Partitioner};
 use air_fedga::fedml::rng::Rng64;
@@ -25,7 +26,6 @@ use air_fedga::wireless::aircomp::{
     AirAggregationScratch, NormedInput,
 };
 use air_fedga::wireless::power::{optimize_power, transmit_power, PowerControlConfig};
-use bench::reference::{logreg_loss_and_gradient, mlp_loss_and_gradient};
 
 const CASES: usize = 24;
 
@@ -220,73 +220,6 @@ fn label_distribution_merge_is_consistent() {
     }
 }
 
-/// The batched GEMM engine reproduces the per-sample reference gradients of
-/// logistic regression to 1e-10 on random models, batches and batch sizes.
-#[test]
-fn batched_logreg_matches_per_sample_reference() {
-    for case in 0..CASES {
-        let mut rng = Rng64::seed_from(8000 + case as u64);
-        let data = SyntheticSpec::mnist_like()
-            .with_samples_per_class(4 + rng.index(6))
-            .generate(&mut rng);
-        let l2 = if rng.uniform() < 0.5 {
-            0.0
-        } else {
-            rng.uniform_range(1e-4, 0.1)
-        };
-        let mut model =
-            LogisticRegression::new(data.num_features(), data.num_classes()).with_l2(l2);
-        let mut p = model.params();
-        for v in p.0.iter_mut() {
-            *v = rng.gaussian_with(0.0, 0.3);
-        }
-        model.set_params(&p);
-        let bsz = 1 + rng.index(data.len());
-        let indices = rng.sample_indices(data.len(), bsz);
-        let (loss_ref, grad_ref) = logreg_loss_and_gradient(&model, &data, &indices);
-        let (loss, grad) = model.loss_and_gradient(&data, &indices);
-        assert!(
-            (loss - loss_ref).abs() < 1e-10,
-            "case {case}: loss {loss} vs reference {loss_ref}"
-        );
-        for (c, (a, b)) in grad.0.iter().zip(grad_ref.0.iter()).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-10,
-                "case {case}: grad coord {c}: {a} vs reference {b}"
-            );
-        }
-    }
-}
-
-/// The batched GEMM engine reproduces the per-sample reference gradients of
-/// random-depth MLPs to 1e-10 on random batches.
-#[test]
-fn batched_mlp_matches_per_sample_reference() {
-    for case in 0..CASES {
-        let mut rng = Rng64::seed_from(9000 + case as u64);
-        let data = SyntheticSpec::mnist_like()
-            .with_samples_per_class(4 + rng.index(6))
-            .generate(&mut rng);
-        let depth = rng.index(3);
-        let hidden: Vec<usize> = (0..depth).map(|_| 3 + rng.index(20)).collect();
-        let model = Mlp::new(data.num_features(), &hidden, data.num_classes(), &mut rng);
-        let bsz = 1 + rng.index(data.len());
-        let indices = rng.sample_indices(data.len(), bsz);
-        let (loss_ref, grad_ref) = mlp_loss_and_gradient(&model, &data, &indices);
-        let (loss, grad) = model.loss_and_gradient(&data, &indices);
-        assert!(
-            (loss - loss_ref).abs() < 1e-10,
-            "case {case}: loss {loss} vs reference {loss_ref}"
-        );
-        for (c, (a, b)) in grad.0.iter().zip(grad_ref.0.iter()).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-10,
-                "case {case}: grad coord {c}: {a} vs reference {b}"
-            );
-        }
-    }
-}
-
 /// Rayon-style parallel worker rounds produce bit-identical training traces
 /// to sequential execution for fixed seeds, across aggregation back-ends.
 #[test]
@@ -326,36 +259,6 @@ fn parallel_rounds_are_bit_identical_to_sequential() {
                 assert_eq!(pa.accuracy.to_bits(), pb.accuracy.to_bits());
                 assert_eq!(pa.time.to_bits(), pb.time.to_bits());
                 assert_eq!(pa.energy.to_bits(), pb.energy.to_bits());
-            }
-        }
-    }
-}
-
-/// The packed `gemm_nt` agrees with the naive triple loop to 1e-12 on random
-/// shapes and data — same tolerance the unpacked kernel is held to.
-#[test]
-fn packed_gemm_nt_matches_naive() {
-    use air_fedga::fedml::linalg::gemm_nt_packed;
-    let mut rng = Rng64::seed_from(7101);
-    for case in 0..CASES {
-        let m = 1 + rng.index(40);
-        let n = 1 + rng.index(40);
-        let k = 1 + rng.index(60);
-        let a: Vec<f64> = (0..m * k).map(|_| rng.uniform_range(-1.0, 1.0)).collect();
-        let b: Vec<f64> = (0..n * k).map(|_| rng.uniform_range(-1.0, 1.0)).collect();
-        let mut pack = vec![f64::NAN; k * n];
-        let mut c = vec![f64::NAN; m * n];
-        gemm_nt_packed(&a, &b, &mut c, m, n, k, &mut pack);
-        for i in 0..m {
-            for j in 0..n {
-                let mut s = 0.0;
-                for l in 0..k {
-                    s += a[i * k + l] * b[j * k + l];
-                }
-                assert!(
-                    (c[i * n + j] - s).abs() < 1e-12,
-                    "case {case}: packed gemm_nt mismatch at ({i},{j}) of {m}x{n}x{k}"
-                );
             }
         }
     }
